@@ -10,10 +10,10 @@ reduction (bdim_search) and a plain brute-force enumeration (bdim_oracle).
 They must agree wherever both run; tests enforce this.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import product as iproduct
-
-import numpy as np
+from operator import or_
 
 from .core import (
     SignedGraph,
@@ -142,10 +142,50 @@ class BdimResult:
     explored: int
 
 
-def _canonical_vectors(k: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _sign_masks(
+    k: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], int]:
+    """Candidates for dimension k and their inner-product sign masks.
+
+    Returns (cands, neg, pos, root): the nonzero vectors of {-1,0,1}^k in
+    lexicographic order (-1 < 0 < 1); for each candidate j, the bitsets
+    (bit i stands for cands[i]) of candidates whose inner product with it is
+    negative and positive; and the bitset of the root's canonical vectors.
+    """
+    # rows[y][d + j] is the bitset, over all 3^j vectors x of {-1,0,1}^j in
+    # lexicographic order, of those with <x, y> = d; prepending a coordinate
+    # a to x and b to y shifts x by (a + 1) * 3^j and adds a*b to d
+    rows = [[1]]
+    for j in range(k):
+        size = 3**j
+        grown = []
+        for b in OMEGA:
+            for row in rows:
+                out = [0] * (len(row) + 2)
+                for a in OMEGA:
+                    shift, ab = (a + 1) * size, a * b
+                    for t, bits in enumerate(row):
+                        if bits:
+                            out[t + ab + 1] |= bits << shift
+                grown.append(out)
+        rows = grown
+    zero = (3**k - 1) // 2  # lexicographic index of the zero vector
+    low = (1 << zero) - 1
+
+    def drop_zero(bits: int) -> int:
+        return (bits & low) | (bits >> (zero + 1) << zero)
+
+    # tuples: the cache hands the same result to every caller
+    cands = tuple(v for v in iproduct(OMEGA, repeat=k) if any(v))
+    del rows[zero]
+    neg = tuple(drop_zero(functools.reduce(or_, row[:k])) for row in rows)
+    pos = tuple(drop_zero(functools.reduce(or_, row[k + 1 :])) for row in rows)
     # t ones then zeros; exhaustive for a component root up to coordinate
-    # permutations and per-coordinate sign flips, which preserve inner products.
-    return [(1,) * t + (0,) * (k - t) for t in range(1, k + 1)]
+    # permutations and per-coordinate sign flips, which preserve inner products
+    index = {v: i for i, v in enumerate(cands)}
+    root = sum(1 << index[(1,) * t + (0,) * (k - t)] for t in range(1, k + 1))
+    return cands, neg, pos, root
 
 
 def _search_component(
@@ -155,59 +195,65 @@ def _search_component(
 
     `order` is the component's BFS order. Vertices are assigned in that order
     from the nonzero vectors of {-1,0,1}^k, candidates tried in lexicographic
-    order (-1 < 0 < 1); the root takes only canonical vectors. A candidate
-    must give every edge back to an assigned vertex a positive switched sign.
+    order (-1 < 0 < 1); the root takes only canonical vectors. Each vertex
+    keeps a bitset domain of the candidates that give every edge back to an
+    assigned vertex a positive switched sign. Assigning a candidate narrows
+    the domains of later neighbours (undone through a trail on backtrack),
+    and the candidate is rejected as soon as one of them empties. This cuts
+    only branches without a completion, so the first full assignment is the
+    same lex-least one a plain backtracking search finds.
     Returns (vectors aligned with `order`, candidates tried).
     """
-    cands = [v for v in iproduct(OMEGA, repeat=k) if any(v)]
-    index = {v: i for i, v in enumerate(cands)}
-    m = len(cands)
-    table = [
-        [sgn(sum(a * b for a, b in zip(x, y))) for y in cands] for x in cands
+    cands, neg, pos, root = _sign_masks(k)
+    by_sign = {-1: neg, 1: pos}
+    where = {v: p for p, v in enumerate(order)}
+    ahead = [
+        [(where[w], by_sign[g.sign(v, w)]) for w in g.neighbors(v) if where[w] > p]
+        for p, v in enumerate(order)
     ]
-    by_sign = [
-        {s: [i for i in range(m) if table[i][j] == s] for s in (-1, 1)}
-        for j in range(m)
-    ]
-    pos = {v: p for p, v in enumerate(order)}
-    back: list[list[tuple[int, int]]] = [[] for _ in order]
-    for p, v in enumerate(order):
-        for w in g.neighbors(v):
-            if pos[w] < p:
-                back[p].append((pos[w], g.sign(v, w)))
-    root_cands = [index[c] for c in _canonical_vectors(k)]
     nvert = len(order)
+    domain = [(1 << len(cands)) - 1] * nvert
+    domain[0] = root
+    untried = [0] * nvert  # candidates of the domain not yet tried at p
+    untried[0] = root
+    marks = [0] * nvert  # trail length when p was reached
     assign = [0] * nvert
+    trail: list[tuple[int, int]] = []
     tried = 0
-
-    def dfs(p: int) -> bool:
-        nonlocal tried
-        if p == nvert:
-            return True
-        if p == 0:
-            pool = root_cands
-            rest = []
-        else:
-            # the first constraint filters via the precomputed sign lists,
-            # keeping candidate order (hence lex-least witnesses)
-            (q0, s0), *rest = back[p]
-            pool = by_sign[assign[q0]][s0]
-        for i in pool:
-            tried += 1
-            ok = True
-            for q, s in rest:
-                if table[i][assign[q]] != s:
-                    ok = False
+    p = 0
+    while True:
+        while len(trail) > marks[p]:
+            q, before = trail.pop()
+            domain[q] = before
+        bits = untried[p]
+        if not bits:
+            if p == 0:
+                return None, tried
+            p -= 1
+            continue
+        lowest = bits & -bits
+        untried[p] = bits ^ lowest
+        i = lowest.bit_length() - 1
+        tried += 1
+        for q, masks in ahead[p]:
+            before = domain[q]
+            narrowed = before & masks[i]
+            if narrowed != before:
+                trail.append((q, before))
+                domain[q] = narrowed
+                if not narrowed:
                     break
-            if ok:
-                assign[p] = i
-                if dfs(p + 1):
-                    return True
-        return False
+        else:
+            assign[p] = i
+            p += 1
+            if p == nvert:
+                return [cands[i] for i in assign], tried
+            marks[p] = len(trail)
+            untried[p] = domain[p]
 
-    if dfs(0):
-        return [cands[assign[p]] for p in range(nvert)], tried
-    return None, tried
+
+def _cap(g: SignedGraph, max_k: int | None) -> int:
+    return max(len(g.edges) if max_k is None else max_k, 1)
 
 
 def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
@@ -218,11 +264,12 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     components and the witness is re-searched at that dimension so all
     vertices carry vectors of the same length. Isolated vertices get the
     canonical vector (1,0,...,0). Raises BdimCapExceededError when no
-    dimension up to max_k (default: the vertex count) works.
+    dimension up to max_k works. The default, the edge count, is a true cap:
+    one private coordinate per edge always yields a positive switching.
     """
     if max_k is not None and max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
-    cap = max(g.n if max_k is None else max_k, 1)
+    cap = _cap(g, max_k)
     balanced, zeta = is_balanced(g)
     if balanced:
         return BdimResult(1, KSwitching.from_scalar(zeta), g.n)
@@ -277,6 +324,8 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
         )
     if not g.edges:
         return True
+    import numpy as np  # the only numpy user; deferred so `import sgraph` stays light
+
     vecs = np.array(list(iproduct(OMEGA, repeat=k)), dtype=np.int16)
     sig = np.sign(vecs @ vecs.T).astype(np.int8)
     m = vecs.shape[0]
@@ -291,8 +340,11 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
 
 
 def bdim_oracle(g: SignedGraph, max_k: int | None = None) -> int:
-    """Least k with a positive switching, by brute enumeration at each k."""
-    cap = max(g.n if max_k is None else max_k, 1)
+    """Least k with a positive switching, by brute enumeration at each k.
+
+    max_k defaults to the edge count, as in bdim_search.
+    """
+    cap = _cap(g, max_k)
     for k in range(1, cap + 1):
         if has_k_positive_bruteforce(g, k):
             return k
@@ -340,11 +392,9 @@ class KnownBdim:
         """Dimension of the all-negative complete graph on n vertices."""
         entry = self._values.get(("antibalanced_complete", n))
         if entry is None:
-            # the dimension can exceed n (7 already for n = 6); the edge
-            # count is a true cap since one private coordinate per edge
-            # always yields a positive switching
-            cap = max(1, n * (n - 1) // 2)
-            dim = bdim_search(all_negative_complete(n), max_k=cap).dimension
+            # the dimension can exceed n (7 already for n = 6), so this relies
+            # on bdim_search's default cap, the edge count
+            dim = bdim_search(all_negative_complete(n)).dimension
             entry = KnownDimension(dim, COMPUTED)
             self._values[("antibalanced_complete", n)] = entry
         return entry.dimension

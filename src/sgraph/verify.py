@@ -48,7 +48,6 @@ class Budget:
     """Per-claim size limits. trials=0 skips the claim entirely."""
 
     trials: int = 100
-    max_k: int = 6
 
 
 @dataclass(frozen=True)
@@ -617,7 +616,8 @@ def _registry() -> dict[str, Claim]:
     }
 
 
-CLAIM_IDS = tuple(_registry())
+_REGISTRY = _registry()
+CLAIM_IDS = tuple(_REGISTRY)
 
 
 def run_claims(
@@ -630,18 +630,17 @@ def run_claims(
     Reports come back in registry (claim-id) order regardless of selection
     order. A fixed seed gives identical instance streams across runs.
     """
-    registry = _registry()
     if selection == "all":
-        ids = list(registry)
+        ids = list(_REGISTRY)
     else:
         requested = list(selection)
-        unknown = [cid for cid in requested if cid not in registry]
+        unknown = [cid for cid in requested if cid not in _REGISTRY]
         if unknown:
             raise UnknownClaimError(f"unknown claim ids: {unknown}")
-        ids = [cid for cid in registry if cid in requested]
+        ids = [cid for cid in _REGISTRY if cid in requested]
     reports = []
     for cid in ids:
-        claim = registry[cid]
+        claim = _REGISTRY[cid]
         budget = claim.budget
         if overrides and cid in overrides:
             budget = overrides[cid]
@@ -670,17 +669,15 @@ def run_claims(
 
 def recheck_counterexample(claim_id: str, payload: dict) -> bool:
     """Re-run one claim instance standalone; False reproduces the failure."""
-    registry = _registry()
-    if claim_id not in registry:
+    if claim_id not in _REGISTRY:
         raise UnknownClaimError(f"unknown claim id: {claim_id}")
-    return registry[claim_id].holds(payload)
+    return _REGISTRY[claim_id].holds(payload)
 
 
 def claim_description(claim_id: str) -> str:
-    registry = _registry()
-    if claim_id not in registry:
+    if claim_id not in _REGISTRY:
         raise UnknownClaimError(f"unknown claim id: {claim_id}")
-    return registry[claim_id].description
+    return _REGISTRY[claim_id].description
 
 
 def format_report(report: ClaimReport) -> str:

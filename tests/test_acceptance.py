@@ -199,3 +199,12 @@ def test_criterion_10_full_claim_suite():
     assert not failing, f"claims not passing: {failing}"
     assert main(["verify", "--claims", "all"]) == 0
     _report(10, "all 19 claims pass and the CLI verify run exits 0", time.perf_counter() - start, 600.0)
+
+
+def test_criterion_11_all_negative_k6_dimension_seven():
+    start = time.perf_counter()
+    g = all_negative_complete(6)
+    result = bdim_search(g)
+    assert result.dimension == 7
+    assert is_k_positive(g, result.witness)
+    _report(11, "all-negative K6 has dimension 7 with a positive witness", time.perf_counter() - start, 30.0)

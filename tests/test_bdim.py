@@ -1,11 +1,15 @@
 """Vector switching, the dimension search, and its brute-force cross-check."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
 
 import helpers
+import sgraph
 from sgraph import (
     COMPUTED,
     LITERATURE,
@@ -278,26 +282,67 @@ def test_dimension_one_iff_balanced(family):
         assert (bdim_search(g).dimension == 1) == is_balanced(g)[0]
 
 
-def test_witness_is_lex_least_under_bfs_order():
+def _seeded_unbalanced_five():
+    # seed 19 gives a connected unbalanced graph of dimension 2 whose BFS
+    # order (0, 3, 4, 1, 2) is not the vertex order
+    rng = random.Random(19)
+    return build_graph(
+        5,
+        [
+            (u, v, rng.choice((-1, 1)))
+            for u in range(5)
+            for v in range(u + 1, 5)
+            if rng.random() < 0.6
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "g, k, order",
+    [
+        (unbalanced_cycle(4), 2, [0, 1, 3, 2]),
+        (all_negative_complete(3), 3, [0, 1, 2]),
+        (unbalanced_cycle(5), 2, [0, 1, 4, 2, 3]),
+        (_seeded_unbalanced_five(), 2, [0, 3, 4, 1, 2]),
+    ],
+    ids=["C4", "K3", "C5", "seeded5"],
+)
+def test_witness_is_lex_least_under_bfs_order(g, k, order):
     # enumerate every root-canonical assignment in lexicographic order over
-    # the BFS vertex sequence (0, 1, 3, 2 for this cycle) and take the first
-    # positive one; the search must return exactly that assignment
-    g = unbalanced_cycle(4)
+    # the BFS vertex sequence and take the first positive one; the search
+    # must return exactly that assignment
     result = bdim_search(g)
-    assert result.dimension == 2
-    cands = [v for v in iproduct((-1, 0, 1), repeat=2) if any(v)]
-    roots = [(1, 0), (1, 1)]
-    order = [0, 1, 3, 2]
+    assert result.dimension == k
+    cands = [v for v in iproduct((-1, 0, 1), repeat=k) if any(v)]
+    roots = [(1,) * t + (0,) * (k - t) for t in range(1, k + 1)]
     found = None
-    for assignment in iproduct(roots, cands, cands, cands):
-        z = [None] * 4
+    for assignment in iproduct(roots, *[cands] * (g.n - 1)):
+        z = [None] * g.n
         for vertex, vec in zip(order, assignment):
             z[vertex] = vec
-        if is_k_positive(g, KSwitching(2, tuple(z))):
+        if is_k_positive(g, KSwitching(k, tuple(z))):
             found = tuple(z)
             break
     assert found is not None
     assert result.witness.vectors == found
+
+
+def test_bdim_cycle_product_beyond_recursion_depth():
+    # 1600 vertices in one component, more than a recursive search could
+    # descend through under the default recursion limit
+    g = cartesian(unbalanced_cycle(40), unbalanced_cycle(40))
+    result = bdim_search(g)
+    assert result.dimension == 2
+    assert is_k_positive(g, result.witness)
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the brute-force oracle, so importing the package
+    # must not pay for it
+    src = os.path.dirname(os.path.dirname(sgraph.__file__))
+    code = "import sys, sgraph; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_known_bdim_registry():
