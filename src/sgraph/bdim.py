@@ -312,9 +312,13 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
 def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
     """Whether any map from vertices to {-1,0,1}^k switches g all-positive.
 
-    Plain enumeration of every one of the 3**(n*k) maps, with no pruning and
-    no symmetry reduction; the independent cross-check for bdim_search.
-    Vectorized per edge over the full assignment space.
+    Plain enumeration of every one of the 3**(n*k) maps, with no pruning,
+    no symmetry reduction and no early exit; the independent cross-check for
+    bdim_search. Each map is one bit: the m = 3**k choices of the last vertex
+    are packed into words, so the accumulator has one axis of size m per
+    other vertex plus a word axis. Every edge is ANDed into every bit in
+    place: an edge at the last vertex as packed rows of its sign table, any
+    other edge as all-zero or all-one words.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -329,13 +333,30 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
     vecs = np.array(list(iproduct(OMEGA, repeat=k)), dtype=np.int16)
     sig = np.sign(vecs @ vecs.T).astype(np.int8)
     m = vecs.shape[0]
-    acc = None
+    nbytes = next(b for b in (1, 2, 4, 8) if 8 * b >= min(m, 64))
+    word = np.dtype(f"u{nbytes}")
+    nw = -(-m // (8 * nbytes))
+
+    def pack(rows):
+        """Bool rows of length m -> rows of nw words, padding bits clear."""
+        padded = np.zeros((rows.shape[0], nw * 8 * nbytes), dtype=bool)
+        padded[:, :m] = rows
+        return np.packbits(padded, axis=1, bitorder="little").view(word)
+
+    last = g.n - 1
+    acc = np.empty((m,) * last + (nw,), dtype=word)
+    acc[...] = pack(np.ones((1, m), dtype=bool))[0]
+    ones = np.iinfo(word).max
     for u, v, s in g.edges:
-        shape = [1] * g.n
+        shape = [1] * last + [nw]
         shape[u] = m
-        shape[v] = m
-        want = (sig == s).reshape(shape)
-        acc = want if acc is None else acc & want
+        if v == last:
+            want = pack(sig == s)
+        else:
+            shape[v] = m
+            shape[-1] = 1
+            want = np.where(sig == s, ones, 0).astype(word)
+        np.bitwise_and(acc, want.reshape(shape), out=acc)
     return bool(acc.any())
 
 

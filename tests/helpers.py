@@ -77,6 +77,20 @@ def oracle_corpus(count: int = 200, max_n: int = 5) -> list[SignedGraph]:
     return [random_signed_graph(rng, max_n) for _ in range(count)]
 
 
+def brute_k_positive(g: SignedGraph, k: int) -> bool:
+    """Whether some map from vertices to {-1,0,1}^k switches g all-positive.
+
+    Tries all 3^(n*k) maps in pure Python: an edge (u, v, s) is positive when
+    s times the plain inner product of its end vectors is positive, which also
+    rules out orthogonal ends. Shares no code with sgraph.bdim.
+    """
+    vecs = list(iproduct((-1, 0, 1), repeat=k))
+    return any(
+        all(s * sum(a * b for a, b in zip(phi[u], phi[v])) > 0 for u, v, s in g.edges)
+        for phi in iproduct(vecs, repeat=g.n)
+    )
+
+
 def max_pairwise_negative_set(k: int) -> int:
     """Largest set of nonzero vectors in {-1,0,1}^k with pairwise negative
     inner products.

@@ -18,6 +18,7 @@ from sgraph import (
     bdim_search,
     build_graph,
     cartesian,
+    has_k_positive_bruteforce,
     hg_lex,
     is_all_positive,
     is_antibalanced,
@@ -31,6 +32,7 @@ from sgraph import (
     tensor,
     unbalanced_cycle,
 )
+from sgraph.bdim import ORACLE_GUARD
 from sgraph.cli import main
 
 
@@ -207,4 +209,14 @@ def test_criterion_11_all_negative_k6_dimension_seven():
     result = bdim_search(g)
     assert result.dimension == 7
     assert is_k_positive(g, result.witness)
+    assert helpers.max_pairwise_negative_set(6) == 5
     _report(11, "all-negative K6 has dimension 7 with a positive witness", time.perf_counter() - start, 30.0)
+
+
+def test_criterion_12_oracle_guard_boundary():
+    start = time.perf_counter()
+    # 3^16 maps are the most the guard admits; both cases sit exactly there
+    assert 3**16 <= ORACLE_GUARD < 3**17
+    assert not has_k_positive_bruteforce(unbalanced_cycle(16), 1)
+    assert has_k_positive_bruteforce(all_negative_complete(4), 4)
+    _report(12, "oracle decides both 3^16-map enumerations at its guard", time.perf_counter() - start, 10.0)

@@ -37,6 +37,7 @@ from sgraph import (
     table_witness,
     unbalanced_cycle,
 )
+from sgraph.bdim import ORACLE_GUARD
 
 EXHAUSTIVE_FAMILIES = [
     unbalanced_cycle(3),
@@ -200,6 +201,44 @@ def test_oracle_guard():
     big = cartesian(unbalanced_cycle(4), unbalanced_cycle(4))
     with pytest.raises(OracleGuardError):
         bdim_oracle(big)
+
+
+# The oracle packs the last vertex's choices into words, so these cover the
+# layouts that path can get wrong: no accumulator axes at all, an isolated
+# last vertex, edges only at the last vertex, and n = 2 at k = 4 and 5, where
+# the 81 and 243 choices span two and four 64-bit words.
+ORACLE_EDGE_CASES = [
+    build_graph(0, []),
+    null_graph(1),
+    null_graph(2),
+    build_graph(2, [(0, 1, -1)]),
+    build_graph(2, [(0, 1, 1)]),
+    build_graph(4, [(0, 1, -1), (1, 2, -1), (0, 2, -1)]),
+    build_graph(4, [(0, 3, -1), (1, 3, 1), (2, 3, -1)]),
+    build_graph(4, [(0, 3, -1), (1, 3, -1), (2, 3, -1), (0, 1, 1)]),
+]
+
+
+def test_oracle_matches_pure_python_enumeration():
+    checked = set()
+    for g in helpers.oracle_corpus(count=200) + ORACLE_EDGE_CASES:
+        for k in range(1, 11):
+            if 3 ** (g.n * k) > 3**10:
+                break
+            assert has_k_positive_bruteforce(g, k) == helpers.brute_k_positive(g, k), (g, k)
+            checked.add((g.n, k))
+    assert {(2, 4), (2, 5), (5, 2)} <= checked
+
+
+def test_oracle_on_all_negative_cliques_matches_clique_bound():
+    # K_n^- is k-positive exactly when n pairwise-negative vectors exist in
+    # {-1,0,1}^k; this reaches k = 4 and 5 with edges off the last vertex,
+    # past what the pure-Python enumeration can afford
+    for k in range(1, 6):
+        fits = helpers.max_pairwise_negative_set(k)
+        for n in range(2, 6):
+            if 3 ** (n * k) <= ORACLE_GUARD:
+                assert has_k_positive_bruteforce(all_negative_complete(n), k) == (fits >= n), (n, k)
 
 
 @pytest.mark.parametrize("family", EXHAUSTIVE_FAMILIES, ids=["C3", "C4", "C5", "P4", "K4"])
