@@ -99,9 +99,15 @@ class KSwitching:
         """True when no edge of g joins orthogonal vectors."""
         if len(self.vectors) != g.n:
             return False
-        return all(
-            inner_sign(self.vectors[u], self.vectors[v]) != 0 for u, v, _ in g.edges
-        )
+        return all(t != 0 for _, _, _, t in _edge_signs(g, self))
+
+
+def _edge_signs(g: SignedGraph, z: KSwitching):
+    """(u, v, s, t) per edge of g: its sign s and the sign t of the inner
+    product of z's vectors at u and v. z must cover g's vertices."""
+    vectors = z.vectors
+    for u, v, s in g.edges:
+        yield u, v, s, inner_sign(vectors[u], vectors[v])
 
 
 def apply_k_switching(g: SignedGraph, z: KSwitching) -> SignedGraph:
@@ -111,8 +117,7 @@ def apply_k_switching(g: SignedGraph, z: KSwitching) -> SignedGraph:
             f"switching covers {len(z.vectors)} vertices, graph has {g.n}"
         )
     edges = []
-    for u, v, s in g.edges:
-        t = inner_sign(z.vectors[u], z.vectors[v])
+    for u, v, s, t in _edge_signs(g, z):
         if t == 0:
             raise InvalidSwitchingError(
                 f"orthogonal vectors across edge ({u},{v})", edge=(u, v)
@@ -125,9 +130,7 @@ def is_k_positive(g: SignedGraph, z: KSwitching) -> bool:
     """True when z is valid for g and switches every edge positive."""
     if len(z.vectors) != g.n:
         return False
-    return all(
-        s * inner_sign(z.vectors[u], z.vectors[v]) == 1 for u, v, s in g.edges
-    )
+    return all(s * t == 1 for _, _, s, t in _edge_signs(g, z))
 
 
 @dataclass(frozen=True)
@@ -189,29 +192,30 @@ def _sign_masks(
 
 
 def _search_component(
-    g: SignedGraph, order: list[int], k: int
+    g: SignedGraph, k: int
 ) -> tuple[list[tuple[int, ...]] | None, int]:
     """First (lex-least) k-positive assignment on one component, or None.
 
-    `order` is the component's BFS order. Vertices are assigned in that order
-    from the nonzero vectors of {-1,0,1}^k, candidates tried in lexicographic
-    order (-1 < 0 < 1); the root takes only canonical vectors. Each vertex
-    keeps a bitset domain of the candidates that give every edge back to an
-    assigned vertex a positive switched sign. Assigning a candidate narrows
-    the domains of later neighbours (undone through a trail on backtrack),
-    and the candidate is rejected as soon as one of them empties. This cuts
-    only branches without a completion, so the first full assignment is the
-    same lex-least one a plain backtracking search finds.
-    Returns (vectors aligned with `order`, candidates tried).
+    g is connected and labelled in BFS order from vertex 0, so every vertex
+    after the root has an earlier neighbour. Vertices are assigned in label
+    order from the nonzero vectors of {-1,0,1}^k, candidates tried in
+    lexicographic order (-1 < 0 < 1); the root takes only canonical vectors.
+    Each vertex keeps a bitset domain of the candidates that give every edge
+    back to an assigned vertex a positive switched sign. Assigning a
+    candidate narrows the domains of later neighbours (undone through a
+    trail on backtrack), and the candidate is rejected as soon as one of
+    them empties. This cuts only branches without a completion, so the first
+    full assignment is the same lex-least one a plain backtracking search
+    finds. At k = 1 the root is fixed to (1,) and every later domain is a
+    singleton, so the search is a linear-time balance test.
+    Returns (vectors indexed by vertex, candidates tried).
     """
     cands, neg, pos, root = _sign_masks(k)
     by_sign = {-1: neg, 1: pos}
-    where = {v: p for p, v in enumerate(order)}
-    ahead = [
-        [(where[w], by_sign[g.sign(v, w)]) for w in g.neighbors(v) if where[w] > p]
-        for p, v in enumerate(order)
-    ]
-    nvert = len(order)
+    nvert = g.n
+    ahead = [[] for _ in range(nvert)]  # (later neighbour, masks) in label order
+    for u, v, s in g.edges:  # sorted, u < v
+        ahead[u].append((v, by_sign[s]))
     domain = [(1 << len(cands)) - 1] * nvert
     domain[0] = root
     untried = [0] * nvert  # candidates of the domain not yet tried at p
@@ -259,7 +263,9 @@ def _cap(g: SignedGraph, max_k: int | None) -> int:
 def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     """Least k admitting a k-positive switching, with a witness.
 
-    Iterative deepening on k starting at 1 (decided by the balance test).
+    A balanced graph is answered at k = 1 by the balance test. Otherwise each
+    component with an edge is relabelled in BFS order and searched at
+    k = 1, 2, ... (the k = 1 rung is an exact balance test of the component).
     Components are solved independently; the result is the maximum over
     components and the witness is re-searched at that dimension so all
     vertices carry vectors of the same length. Isolated vertices get the
@@ -269,37 +275,29 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     """
     if max_k is not None and max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
-    cap = _cap(g, max_k)
     balanced, zeta = is_balanced(g)
     if balanced:
         return BdimResult(1, KSwitching.from_scalar(zeta), g.n)
-    if cap == 1:
-        raise BdimCapExceededError(1)
+    cap = _cap(g, max_k)
     explored = g.n
-    comps = components(g)
-    results: list[tuple[int, list[tuple[int, ...]] | None]] = []
-    for order in comps:
-        if len(order) == 1 or is_balanced(induced_subgraph(g, order))[0]:
-            results.append((1, None))
+    found = []  # (order, subgraph, least k, witness) per non-trivial component
+    for order in components(g):
+        if len(order) == 1:
             continue
-        found = None
-        for k in range(2, cap + 1):
-            vecs, tried = _search_component(g, order, k)
+        sub = induced_subgraph(g, order)
+        for k in range(1, cap + 1):
+            vecs, tried = _search_component(sub, k)
             explored += tried
             if vecs is not None:
-                found = (k, vecs)
                 break
-        if found is None:
+        else:
             raise BdimCapExceededError(cap)
-        results.append(found)
-    dim = max(d for d, _ in results)
-    vectors: list[tuple[int, ...] | None] = [None] * g.n
-    for order, (d, vecs) in zip(comps, results):
-        if len(order) == 1:
-            vectors[order[0]] = (1,) + (0,) * (dim - 1)
-            continue
-        if d != dim or vecs is None:
-            vecs, tried = _search_component(g, order, dim)
+        found.append((order, sub, k, vecs))
+    dim = max(k for _, _, k, _ in found)
+    vectors = [(1,) + (0,) * (dim - 1)] * g.n  # kept by isolated vertices
+    for order, sub, k, vecs in found:
+        if k != dim:
+            vecs, tried = _search_component(sub, dim)
             explored += tried
             # a lower-dimension witness padded with zeros is always valid at
             # dim, so the re-search cannot fail
@@ -330,8 +328,10 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
         return True
     import numpy as np  # the only numpy user; deferred so `import sgraph` stays light
 
-    vecs = np.array(list(iproduct(OMEGA, repeat=k)), dtype=np.int16)
-    sig = np.sign(vecs @ vecs.T).astype(np.int8)
+    # inner products lie in [-k, k], and the guard keeps k <= 16: int8 holds them
+    vecs = np.array(list(iproduct(OMEGA, repeat=k)), dtype=np.int8)
+    sig = vecs @ vecs.T
+    np.sign(sig, out=sig)
     m = vecs.shape[0]
     nbytes = next(b for b in (1, 2, 4, 8) if 8 * b >= min(m, 64))
     word = np.dtype(f"u{nbytes}")
@@ -339,9 +339,10 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
 
     def pack(rows):
         """Bool rows of length m -> rows of nw words, padding bits clear."""
-        padded = np.zeros((rows.shape[0], nw * 8 * nbytes), dtype=bool)
-        padded[:, :m] = rows
-        return np.packbits(padded, axis=1, bitorder="little").view(word)
+        bits = np.packbits(rows, axis=1, bitorder="little")
+        padded = np.zeros((rows.shape[0], nw * nbytes), dtype=np.uint8)
+        padded[:, : bits.shape[1]] = bits
+        return padded.view(word)
 
     last = g.n - 1
     acc = np.empty((m,) * last + (nw,), dtype=word)

@@ -8,17 +8,6 @@ from typing import Iterable, Optional, Sequence
 
 Edge = tuple[int, int, int]
 
-GENERATOR_KINDS = (
-    "all_positive_complete",
-    "all_negative_complete",
-    "antibalanced_complete",
-    "unbalanced_cycle",
-    "path",
-    "null_graph",
-    "signed_custom",
-)
-
-
 class GraphError(ValueError):
     """Malformed signed graph."""
 
@@ -122,27 +111,6 @@ class GeneratorSpec:
     edges: tuple[Edge, ...] | None = None
 
 
-def generate(spec: GeneratorSpec) -> SignedGraph:
-    """Build the graph described by a GeneratorSpec."""
-    if spec.kind not in GENERATOR_KINDS:
-        raise GraphError(f"unknown generator kind {spec.kind!r}")
-    if spec.kind == "signed_custom":
-        return build_graph(spec.order, spec.edges or ())
-    if spec.order < 1:
-        raise GraphError(f"{spec.kind} needs order >= 1, got {spec.order}")
-    if spec.kind == "unbalanced_cycle" and spec.order < 3:
-        raise GraphError(f"unbalanced_cycle needs order >= 3, got {spec.order}")
-    builders = {
-        "all_positive_complete": all_positive_complete,
-        "all_negative_complete": all_negative_complete,
-        "antibalanced_complete": antibalanced_complete,
-        "unbalanced_cycle": unbalanced_cycle,
-        "path": path_graph,
-        "null_graph": null_graph,
-    }
-    return builders[spec.kind](spec.order)
-
-
 def all_positive_complete(n: int) -> SignedGraph:
     """Complete graph on n vertices, every edge positive."""
     return SignedGraph(
@@ -184,6 +152,30 @@ def path_graph(n: int) -> SignedGraph:
 def null_graph(n: int) -> SignedGraph:
     """n vertices, no edges."""
     return SignedGraph(n, ())
+
+
+GENERATORS = {
+    "all_positive_complete": all_positive_complete,
+    "all_negative_complete": all_negative_complete,
+    "antibalanced_complete": antibalanced_complete,
+    "unbalanced_cycle": unbalanced_cycle,
+    "path": path_graph,
+    "null_graph": null_graph,
+}
+
+GENERATOR_KINDS = (*GENERATORS, "signed_custom")
+
+
+def generate(spec: GeneratorSpec) -> SignedGraph:
+    """Build the graph described by a GeneratorSpec."""
+    if spec.kind == "signed_custom":
+        return build_graph(spec.order, spec.edges or ())
+    builder = GENERATORS.get(spec.kind)
+    if builder is None:
+        raise GraphError(f"unknown generator kind {spec.kind!r}")
+    if spec.order < 1:
+        raise GraphError(f"{spec.kind} needs order >= 1, got {spec.order}")
+    return builder(spec.order)
 
 
 def negate(g: SignedGraph) -> SignedGraph:
@@ -230,26 +222,42 @@ def apply_switching(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
     )
 
 
-def is_balanced(g: SignedGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Decide balance; if balanced, also return a switching to all-positive.
+def _bfs(g: SignedGraph) -> tuple[list[list[int]], list[int]]:
+    """One BFS pass: the component orders and a spanning-tree switching.
 
-    Spanning-tree propagation per component: the smallest vertex of each
-    component gets +1, values follow edge signs outward along a BFS tree, and
-    every edge is then verified against the propagated values. Balanced means
-    no cycle has negative sign.
+    Each component is searched from its smallest vertex, neighbours in
+    ascending order. The root gets +1 and every other vertex the value of
+    its tree parent times the sign of the tree edge, so the switching makes
+    every tree edge positive.
     """
+    adj = g._adjacency
     zeta = [0] * g.n
+    orders = []
     for root in range(g.n):
         if zeta[root]:
             continue
         zeta[root] = 1
-        queue = deque([root])
+        order = [root]
+        queue = deque(order)
         while queue:
             u = queue.popleft()
-            for v in g.neighbors(u):
+            signs = adj[u]
+            for v in sorted(signs):
                 if zeta[v] == 0:
-                    zeta[v] = zeta[u] * g.sign(u, v)
+                    zeta[v] = zeta[u] * signs[v]
+                    order.append(v)
                     queue.append(v)
+        orders.append(order)
+    return orders, zeta
+
+
+def is_balanced(g: SignedGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Decide balance; if balanced, also return a switching to all-positive.
+
+    Balanced means no cycle has negative sign, which holds exactly when the
+    spanning-tree switching of the BFS pass makes every edge positive.
+    """
+    zeta = _bfs(g)[1]
     for u, v, s in g.edges:
         if zeta[u] * s * zeta[v] != 1:
             return False, None
@@ -280,23 +288,7 @@ def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
 
 def components(g: SignedGraph) -> list[list[int]]:
     """Connected components, each as a BFS order rooted at its smallest vertex."""
-    seen = [False] * g.n
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    order.append(v)
-                    queue.append(v)
-        out.append(order)
-    return out
+    return _bfs(g)[0]
 
 
 def induced_subgraph(g: SignedGraph, vertices: Sequence[int]) -> SignedGraph:

@@ -55,6 +55,45 @@ def simple_cycles(g: SignedGraph) -> list[tuple[int, ...]]:
     return sorted(cycles)
 
 
+def _cartesian_rule(i, j, k, l, s1, s2):
+    return s2 if i == k else s1 if j == l else None
+
+
+def _tensor_rule(i, j, k, l, s1, s2):
+    return s1 * s2 if s1 and s2 else None
+
+
+# Sign of the product edge (i,j)(k,l), or None for no edge, given the factor
+# signs s1 of (i,k) and s2 of (j,l), each None when that pair is no edge.
+PRODUCT_RULES = {
+    "cartesian": _cartesian_rule,
+    "hg_lex": lambda i, j, k, l, s1, s2: s2 if i == k else s1,
+    "bcd_lex": lambda i, j, k, l, s1, s2: s2 if i == k else s1 and s1 * (s2 or 1),
+    "tensor": _tensor_rule,
+    "strong": lambda *pair: _cartesian_rule(*pair) or _tensor_rule(*pair),
+}
+
+
+def reference_product(kind: str, g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
+    """The product by its definition: every pair of vertices (i,j), (k,l) is
+    tested against the kind's rule in PRODUCT_RULES. Shares no code with
+    sgraph.products; the vertex (i,j) is numbered i*n2 + j."""
+    sign1 = {frozenset((u, v)): s for u, v, s in g1.edges}
+    sign2 = {frozenset((u, v)): s for u, v, s in g2.edges}
+    rule = PRODUCT_RULES[kind]
+    pairs = [(i, j) for i in range(g1.n) for j in range(g2.n)]
+    edges = []
+    for a, (i, j) in enumerate(pairs):
+        for b in range(a + 1, len(pairs)):
+            k, l = pairs[b]
+            s1 = sign1.get(frozenset((i, k)))
+            s2 = sign2.get(frozenset((j, l)))
+            sign = rule(i, j, k, l, s1, s2)
+            if sign is not None:
+                edges.append((a, b, sign))
+    return build_graph(len(pairs), edges)
+
+
 def random_signed_graph(rng: random.Random, max_n: int = 5) -> SignedGraph:
     """Each vertex pair independently present with probability 1/2."""
     n = rng.randint(1, max_n)

@@ -168,6 +168,34 @@ def test_bdim_disconnected_takes_component_maximum():
     assert result.witness.vectors[7] == (1, 0, 0)
 
 
+def test_bdim_union_of_balanced_unbalanced_and_isolated_parts():
+    # a balanced triangle with two negative edges on {0, 3, 5}, an
+    # all-negative triangle on {1, 4, 6} and the isolated vertex 2
+    g = build_graph(
+        7, [(0, 3, -1), (3, 5, 1), (0, 5, -1), (1, 4, -1), (4, 6, -1), (1, 6, -1)]
+    )
+    result = bdim_search(g)
+    assert result.dimension == 3
+    assert result.witness.vectors == (
+        (1, 0, 0),
+        (1, 0, 0),
+        (1, 0, 0),
+        (-1, -1, -1),
+        (-1, -1, -1),
+        (-1, -1, -1),
+        (-1, 1, 1),
+    )
+    with pytest.raises(BdimCapExceededError) as err:
+        bdim_search(g, max_k=2)
+    assert err.value.max_k == 2
+
+
+def test_bdim_cap_one_refuses_unbalanced_graph():
+    with pytest.raises(BdimCapExceededError) as err:
+        bdim_search(unbalanced_cycle(3), max_k=1)
+    assert err.value.max_k == 1
+
+
 def test_bdim_witness_is_always_positive():
     rng = random.Random(29)
     for _ in range(40):

@@ -20,7 +20,8 @@ from sgraph import (
     tensor,
     unbalanced_cycle,
 )
-from sgraph.cli import main
+from sgraph.cli import FAMILIES, main
+from sgraph.core import GENERATORS
 
 
 def run_cli(args, monkeypatch=None, stdin=""):
@@ -39,6 +40,10 @@ def test_gen_emits_graph_document(capsys):
 def test_gen_unknown_family_is_input_error(capsys):
     assert main(["gen", "moebius", "5"]) == 2
     assert "unknown family" in capsys.readouterr().err
+
+
+def test_families_name_every_generator():
+    assert set(FAMILIES.values()) == set(GENERATORS)
 
 
 @pytest.mark.parametrize(

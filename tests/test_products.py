@@ -24,6 +24,7 @@ from sgraph import (
     pair_labels,
     pair_to_flat,
     path_graph,
+    product,
     strong,
     tensor,
     unbalanced_cycle,
@@ -183,6 +184,15 @@ def test_edge_count_formulas():
             assert len(bcd_lex(g1, g2).edges) == e1 * n2 * n2 + n1 * e2
             assert len(tensor(g1, g2).edges) == 2 * e1 * e2
             assert len(strong(g1, g2).edges) == n1 * e2 + n2 * e1 + 2 * e1 * e2
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "hg_lex", "bcd_lex", "tensor", "strong"])
+def test_products_match_definition(kind):
+    rng = random.Random(19)
+    for base1 in FAMILIES:
+        for base2 in FAMILIES:
+            g1, g2 = random_signature(rng, base1), random_signature(rng, base2)
+            assert product(kind, g1, g2) == helpers.reference_product(kind, g1, g2)
 
 
 @pytest.mark.parametrize("op", [cartesian, tensor, strong], ids=["cartesian", "tensor", "strong"])
