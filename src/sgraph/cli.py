@@ -6,6 +6,7 @@ a failed claim), 2 input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -178,6 +179,7 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgraph",

@@ -52,33 +52,65 @@ class SignedGraph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError(f"vertex count must be >= 0, got {self.n}")
-        normalized = []
-        for u, v, s in self.edges:
-            if u == v:
-                raise LoopEdgeError(f"loop edge at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise VertexRangeError(
-                    f"edge ({u},{v}) outside vertex range 0..{self.n - 1}"
-                )
-            if s not in (-1, 1):
-                raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
-            normalized.append((u, v, s) if u < v else (v, u, s))
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a[:2] == b[:2]:
-                raise DuplicateEdgeError(f"duplicate edge ({a[0]},{a[1]})")
+        normalized = _normalized_or_none(self.n, self.edges)
+        if normalized is None:
+            normalized = []
+            for u, v, s in self.edges:
+                if u == v:
+                    raise LoopEdgeError(f"loop edge at vertex {u}")
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise VertexRangeError(
+                        f"edge ({u},{v}) outside vertex range 0..{self.n - 1}"
+                    )
+                if s not in (-1, 1):
+                    raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
+                normalized.append((u, v, s) if u < v else (v, u, s))
+            normalized.sort()
+            for a, b in zip(normalized, normalized[1:]):
+                if a[:2] == b[:2]:
+                    raise DuplicateEdgeError(f"duplicate edge ({a[0]},{a[1]})")
         object.__setattr__(self, "edges", tuple(normalized))
 
     @cached_property
     def _adjacency(self) -> tuple[dict[int, int], ...]:
+        # The edges are sorted with u < v, so every dict is filled in
+        # ascending neighbour order: _bfs and neighbors need no sort.
         adj: list[dict[int, int]] = [{} for _ in range(self.n)]
         for u, v, s in self.edges:
             adj[u][v] = s
             adj[v][u] = s
         return tuple(adj)
 
+    @cached_property
+    def _bfs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """One BFS pass: the component orders and a spanning-tree switching.
+
+        Each component is searched from its smallest vertex, neighbours in
+        ascending order. The root gets +1 and every other vertex the value of
+        its tree parent times the sign of the tree edge, so the switching makes
+        every tree edge positive.
+        """
+        adj = self._adjacency
+        zeta = [0] * self.n
+        orders = []
+        for root in range(self.n):
+            if zeta[root]:
+                continue
+            zeta[root] = 1
+            order = [root]
+            queue = deque(order)
+            while queue:
+                u = queue.popleft()
+                for v, s in adj[u].items():
+                    if zeta[v] == 0:
+                        zeta[v] = zeta[u] * s
+                        order.append(v)
+                        queue.append(v)
+            orders.append(tuple(order))
+        return tuple(orders), tuple(zeta)
+
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adjacency[u]))
+        return tuple(self._adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._adjacency[u]
@@ -88,6 +120,37 @@ class SignedGraph:
             return self._adjacency[u][v]
         except (KeyError, IndexError):
             raise GraphError(f"no edge ({u},{v})") from None
+
+
+def _normalized_or_none(n, edges) -> Optional[list[Edge]]:
+    """The sorted u < v edge list when every edge is plainly valid, else None.
+
+    A fast path for SignedGraph: any doubt (a bad sign or endpoint, a
+    duplicate pair, an odd type) returns None, and the checking loop then
+    raises its specific error. Iterators are left to that loop, which must
+    see every item.
+    """
+    if not isinstance(edges, (tuple, list)):
+        return None
+    normalized = []
+    append = normalized.append
+    try:
+        for u, v, s in edges:
+            if not (s == 1 or s == -1):
+                return None
+            if 0 <= u < v < n:
+                append((u, v, s))
+            elif 0 <= v < u < n:
+                append((v, u, s))
+            else:
+                return None
+        normalized.sort()
+        for a, b in zip(normalized, normalized[1:]):
+            if a[0] == b[0] and a[1] == b[1]:
+                return None
+    except (TypeError, ValueError):
+        return None
+    return normalized
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> SignedGraph:
@@ -222,46 +285,17 @@ def apply_switching(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
     )
 
 
-def _bfs(g: SignedGraph) -> tuple[list[list[int]], list[int]]:
-    """One BFS pass: the component orders and a spanning-tree switching.
-
-    Each component is searched from its smallest vertex, neighbours in
-    ascending order. The root gets +1 and every other vertex the value of
-    its tree parent times the sign of the tree edge, so the switching makes
-    every tree edge positive.
-    """
-    adj = g._adjacency
-    zeta = [0] * g.n
-    orders = []
-    for root in range(g.n):
-        if zeta[root]:
-            continue
-        zeta[root] = 1
-        order = [root]
-        queue = deque(order)
-        while queue:
-            u = queue.popleft()
-            signs = adj[u]
-            for v in sorted(signs):
-                if zeta[v] == 0:
-                    zeta[v] = zeta[u] * signs[v]
-                    order.append(v)
-                    queue.append(v)
-        orders.append(order)
-    return orders, zeta
-
-
 def is_balanced(g: SignedGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide balance; if balanced, also return a switching to all-positive.
 
     Balanced means no cycle has negative sign, which holds exactly when the
     spanning-tree switching of the BFS pass makes every edge positive.
     """
-    zeta = _bfs(g)[1]
+    zeta = g._bfs[1]
     for u, v, s in g.edges:
         if zeta[u] * s * zeta[v] != 1:
             return False, None
-    return True, tuple(zeta)
+    return True, zeta
 
 
 def is_antibalanced(g: SignedGraph) -> bool:
@@ -276,19 +310,19 @@ def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     when the graph carrying the product of their signs on each edge is
     balanced.
     """
-    if g1.n != g2.n:
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    if [(u, v) for u, v, _ in g1.edges] != [(u, v) for u, v, _ in g2.edges]:
-        return False
-    prod = SignedGraph(
-        g1.n, tuple((u, v, s * g2.sign(u, v)) for u, v, s in g1.edges)
-    )
-    return is_balanced(prod)[0]
+    prod = []
+    for (u, v, s), (x, y, t) in zip(g1.edges, g2.edges):
+        if u != x or v != y:
+            return False
+        prod.append((u, v, s * t))
+    return is_balanced(SignedGraph(g1.n, tuple(prod)))[0]
 
 
 def components(g: SignedGraph) -> list[list[int]]:
     """Connected components, each as a BFS order rooted at its smallest vertex."""
-    return _bfs(g)[0]
+    return [list(order) for order in g._bfs[0]]
 
 
 def induced_subgraph(g: SignedGraph, vertices: Sequence[int]) -> SignedGraph:

@@ -7,9 +7,10 @@ identical inputs produce identical bytes.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .bdim import KSwitching
-from .core import SignedGraph, build_graph
+from .core import SignedGraph
 
 
 class DocumentError(ValueError):
@@ -24,6 +25,52 @@ def _load_object(text: str, what: str) -> dict:
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must be a JSON object")
     return raw
+
+
+_SCALARS = {int, float, bool, str, type(None)}
+
+
+def _dumps(doc: dict) -> str:
+    """Exactly json.dumps(doc, indent=1), through json's C encoder.
+
+    json's indented output always runs the pure-Python encoder. A document
+    whose values are scalars, flat lists or lists of non-empty flat lists is
+    encoded compactly instead, with newline separators, and re-indented. An
+    encoded scalar holds no raw newline, so "],\n   [" only ever joins two
+    rows. Any other value falls back to json.dumps(doc, indent=1).
+    """
+    items = []
+    for key, value in doc.items():
+        if type(value) is not list:
+            if type(value) not in _SCALARS:
+                return json.dumps(doc, indent=1)
+            text = json.dumps(value)
+        elif not value:
+            text = "[]"
+        elif (kinds := set(map(type, value))) <= _SCALARS:
+            text = "[\n  " + json.dumps(value, separators=(",\n  ", ": "))[1:-1] + "\n ]"
+        elif kinds == {list} and all(value) and (
+            set(map(type, chain.from_iterable(value))) <= _SCALARS
+        ):
+            rows = json.dumps(value, separators=(",\n   ", ": "))[2:-2]
+            rows = rows.replace("],\n   [", "\n  ],\n  [\n   ")
+            text = "[\n  [\n   " + rows + "\n  ]\n ]"
+        else:
+            return json.dumps(doc, indent=1)
+        items.append(json.dumps(key) + ": " + text)
+    return "{\n " + ",\n ".join(items) + "\n}"
+
+
+def _int_triples(edges: list) -> bool:
+    """Whether every entry of a parsed edge list is a list of three ints.
+
+    Parsed JSON holds only exact types, so an exact int is never a bool.
+    """
+    return (
+        set(map(type, edges)) <= {list}
+        and set(map(len, edges)) <= {3}
+        and set(map(type, chain.from_iterable(edges))) <= {int}
+    )
 
 
 @dataclass(frozen=True)
@@ -47,7 +94,7 @@ class GraphDocument:
             doc["name"] = self.name
         if self.vertex_labels is not None:
             doc["vertex_labels"] = list(self.vertex_labels)
-        return json.dumps(doc, indent=1)
+        return _dumps(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDocument":
@@ -61,13 +108,14 @@ class GraphDocument:
             raise DocumentError('"n" must be an integer')
         if not isinstance(edges, list):
             raise DocumentError('"edges" must be a list of [u, v, sign] triples')
-        for e in edges:
-            if not (
-                isinstance(e, list)
-                and len(e) == 3
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-            ):
-                raise DocumentError(f"bad edge entry {e!r}")
+        if not _int_triples(edges):
+            for e in edges:
+                if not (
+                    isinstance(e, list)
+                    and len(e) == 3
+                    and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+                ):
+                    raise DocumentError(f"bad edge entry {e!r}")
         name = raw.get("name")
         if name is not None and not isinstance(name, str):
             raise DocumentError('"name" must be a string')
@@ -76,7 +124,7 @@ class GraphDocument:
             if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
                 raise DocumentError('"vertex_labels" must be a list of strings')
             labels = tuple(labels)
-        graph = build_graph(n, edges)
+        graph = SignedGraph(n, tuple(map(tuple, edges)))
         return cls(graph, name, labels)
 
 
@@ -89,7 +137,7 @@ class WitnessDocument:
             "k": self.switching.k,
             "zeta": [list(vec) for vec in self.switching.vectors],
         }
-        return json.dumps(doc, indent=1)
+        return _dumps(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessDocument":

@@ -1,9 +1,17 @@
 """Shared test oracles, independent of the library's own algorithms."""
 
+import json
 import random
 from itertools import product as iproduct
 
 from sgraph import SignedGraph, apply_switching, build_graph
+from sgraph.core import (
+    DuplicateEdgeError,
+    GraphError,
+    LoopEdgeError,
+    SignError,
+    VertexRangeError,
+)
 
 
 def all_signatures(g: SignedGraph):
@@ -162,3 +170,48 @@ def max_pairwise_negative_set(k: int) -> int:
 
     expand(0, (1 << n) - 1)
     return best
+
+
+def reference_normalized_edges(n, edges) -> tuple:
+    """SignedGraph's edge validation as a single checking loop: the sorted
+    u < v edges, or the first error, with the library's types and messages."""
+    if n < 0:
+        raise GraphError(f"vertex count must be >= 0, got {n}")
+    normalized = []
+    for u, v, s in edges:
+        if u == v:
+            raise LoopEdgeError(f"loop edge at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(
+                f"edge ({u},{v}) outside vertex range 0..{n - 1}"
+            )
+        if s not in (-1, 1):
+            raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
+        normalized.append((u, v, s) if u < v else (v, u, s))
+    normalized.sort()
+    for a, b in zip(normalized, normalized[1:]):
+        if a[:2] == b[:2]:
+            raise DuplicateEdgeError(f"duplicate edge ({a[0]},{a[1]})")
+    return tuple(normalized)
+
+
+def reference_graph_json(doc) -> str:
+    """A GraphDocument serialised by json's own indented encoder."""
+    raw: dict = {
+        "n": doc.graph.n,
+        "edges": [[u, v, s] for u, v, s in doc.graph.edges],
+    }
+    if doc.name is not None:
+        raw["name"] = doc.name
+    if doc.vertex_labels is not None:
+        raw["vertex_labels"] = list(doc.vertex_labels)
+    return json.dumps(raw, indent=1)
+
+
+def reference_witness_json(doc) -> str:
+    """A WitnessDocument serialised by json's own indented encoder."""
+    raw = {
+        "k": doc.switching.k,
+        "zeta": [list(vec) for vec in doc.switching.vectors],
+    }
+    return json.dumps(raw, indent=1)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -300,3 +301,33 @@ def test_python_dash_m_entrypoint():
     )
     assert proc.returncode == 0
     assert GraphDocument.from_json(proc.stdout).graph == unbalanced_cycle(4)
+
+
+def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
+    import sgraph.cli as cli_module
+
+    records = tmp_path / "records.json"
+    calls = [
+        ["gen", "unbalanced-cycle", "4"],
+        ["no-such-command"],
+        ["gen", "path-all-positive"],
+        ["verify", "--claims", "C15", "--json", str(records)],
+        ["witness-table", "1", "4", "5"],
+        ["gen", "null-graph", "2"],
+    ]
+
+    def run(argv):  # claim timings are the only part allowed to differ
+        code = main(argv)
+        out, err = capsys.readouterr()
+        written = None
+        if argv[0] == "verify":
+            written = [{**r, "elapsed": None} for r in json.loads(records.read_text())]
+        return code, re.sub(r"\d+\.\d+s\b", "<time>", out), err, written
+
+    fresh = []
+    for argv in calls:
+        cli_module._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [result[0] for result in fresh] == [0, 2, 2, 0, 0, 0]
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == fresh

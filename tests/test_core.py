@@ -15,6 +15,7 @@ from sgraph import (
     LoopEdgeError,
     NotACycleError,
     SignError,
+    SignedGraph,
     SwitchingError,
     VertexRangeError,
     all_negative_complete,
@@ -316,3 +317,71 @@ def test_graphs_are_hashable_values():
     b = build_graph(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+ODD_VALUES = (None, "1", "a", float("nan"), True, False, 1.0, -1.0, 0.5, 0, 2, -1, 3, 9)
+
+
+def _fuzz_edges(rng: random.Random, n: int) -> list:
+    """Valid edges in random orientation and order, then, most of the time,
+    one duplicate pair or one malformed entry put in at a random place."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    edges = []
+    for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
+        s = rng.choice((-1, 1))
+        edges.append((u, v, s) if rng.random() < 0.5 else (v, u, s))
+    roll = rng.random()
+    if roll < 0.3:
+        return edges
+    if roll < 0.5 and edges:
+        u, v, s = rng.choice(edges)
+        extra = rng.choice(((u, v, s), (v, u, -s)))
+    else:
+        u, v, s = rng.choice(edges) if edges else (0, 1, 1)
+        odd = rng.choice(ODD_VALUES)
+        extra = rng.choice((
+            (odd, v, s), (u, odd, s), (u, v, odd), (u, u, s),
+            (u, v), (u, v, s, s), [u, v, s], None, "uvs",
+        ))
+    edges.insert(rng.randrange(len(edges) + 1), extra)
+    return edges
+
+
+def _outcome(build):
+    try:
+        edges = build()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return [tuple(type(x) for x in e) for e in edges], repr(edges)
+
+
+def test_signed_graph_matches_single_loop_validation():
+    rng = random.Random(31337)
+    for _ in range(3000):
+        n = rng.choice((0, 1, 2, 3, 4, 6, -1, 2.5, True))
+        edges = _fuzz_edges(rng, int(n))
+        edges = tuple(edges) if rng.random() < 0.8 else edges
+        expected = _outcome(lambda: helpers.reference_normalized_edges(n, edges))
+        assert _outcome(lambda: SignedGraph(n, edges).edges) == expected, (n, edges)
+
+
+def test_signed_graph_reads_an_edge_iterator_once():
+    edges = [(1, 0, 1), (2, 1, -1), (2, 2, 1)]
+    with pytest.raises(LoopEdgeError, match="loop edge at vertex 2"):
+        SignedGraph(3, iter(edges))
+    assert SignedGraph(3, iter(edges[:2])).edges == ((0, 1, 1), (1, 2, -1))
+
+
+def test_neighbors_ascend_and_components_are_fresh_lists():
+    rng = random.Random(5)
+    for _ in range(50):
+        g = helpers.random_signed_graph(rng, max_n=8)
+        for u in range(g.n):
+            expected = sorted({v for a, b, _ in g.edges for v in (a, b) if u in (a, b)} - {u})
+            assert g.neighbors(u) == tuple(expected)
+        orders = components(g)
+        snapshot = [list(order) for order in orders]
+        orders[0].append(-1)
+        orders.append([])
+        assert components(g) == snapshot
