@@ -2,7 +2,8 @@
 queries, switching, table witnesses, claim verification, and DOT export.
 
 Exit codes: 0 success, 1 computation failure (e.g. dimension cap exceeded or
-a failed claim), 2 input error.
+a failed claim), 2 input error. Any other exception is a fault in sgraph and
+propagates.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import sys
 
 from .bdim import (
     BdimCapExceededError,
+    InvalidSwitchingError,
     OracleGuardError,
     apply_k_switching,
     bdim_oracle,
@@ -21,7 +23,6 @@ from .bdim import (
 from .core import (
     GeneratorSpec,
     GraphError,
-    SwitchingError,
     all_negative_complete,
     generate,
     is_antibalanced,
@@ -57,12 +58,12 @@ class InputError(ValueError):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -94,6 +95,8 @@ def _cmd_balance(args) -> int:
 
 def _cmd_bdim(args) -> int:
     doc = _load_graph(args.file)
+    if args.max_k is not None and args.max_k < 1:
+        raise InputError(f"--max-k must be >= 1, got {args.max_k}")
     try:
         result = bdim_search(doc.graph, max_k=args.max_k)
     except BdimCapExceededError as exc:
@@ -246,10 +249,9 @@ def main(argv=None) -> int:
         InputError,
         DocumentError,
         GraphError,
-        SwitchingError,
+        InvalidSwitchingError,
         TableParameterError,
         UnknownClaimError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

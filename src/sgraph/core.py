@@ -50,25 +50,27 @@ class SignedGraph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphError(f"vertex count must be >= 0, got {self.n}")
-        normalized = _normalized_or_none(self.n, self.edges)
-        if normalized is None:
-            normalized = []
-            for u, v, s in self.edges:
-                if u == v:
-                    raise LoopEdgeError(f"loop edge at vertex {u}")
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise VertexRangeError(
-                        f"edge ({u},{v}) outside vertex range 0..{self.n - 1}"
-                    )
-                if s not in (-1, 1):
-                    raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
-                normalized.append((u, v, s) if u < v else (v, u, s))
-            normalized.sort()
-            for a, b in zip(normalized, normalized[1:]):
-                if a[:2] == b[:2]:
-                    raise DuplicateEdgeError(f"duplicate edge ({a[0]},{a[1]})")
+        n = self.n
+        if n < 0:
+            raise GraphError(f"vertex count must be >= 0, got {n}")
+        normalized = []
+        append = normalized.append
+        for u, v, s in self.edges:
+            try:
+                if s == 1 or s == -1:
+                    if 0 <= u < v < n:
+                        append((u, v, s))
+                        continue
+                    if 0 <= v < u < n:
+                        append((v, u, s))
+                        continue
+            except (TypeError, ValueError):
+                pass  # an odd type: _checked_edge raises the specific error
+            append(_checked_edge(n, u, v, s))
+        normalized.sort()
+        for a, b in zip(normalized, normalized[1:]):
+            if a[0] == b[0] and a[1] == b[1]:
+                raise DuplicateEdgeError(f"duplicate edge ({a[0]},{a[1]})")
         object.__setattr__(self, "edges", tuple(normalized))
 
     @cached_property
@@ -122,35 +124,16 @@ class SignedGraph:
             raise GraphError(f"no edge ({u},{v})") from None
 
 
-def _normalized_or_none(n, edges) -> Optional[list[Edge]]:
-    """The sorted u < v edge list when every edge is plainly valid, else None.
-
-    A fast path for SignedGraph: any doubt (a bad sign or endpoint, a
-    duplicate pair, an odd type) returns None, and the checking loop then
-    raises its specific error. Iterators are left to that loop, which must
-    see every item.
-    """
-    if not isinstance(edges, (tuple, list)):
-        return None
-    normalized = []
-    append = normalized.append
-    try:
-        for u, v, s in edges:
-            if not (s == 1 or s == -1):
-                return None
-            if 0 <= u < v < n:
-                append((u, v, s))
-            elif 0 <= v < u < n:
-                append((v, u, s))
-            else:
-                return None
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a[0] == b[0] and a[1] == b[1]:
-                return None
-    except (TypeError, ValueError):
-        return None
-    return normalized
+def _checked_edge(n: int, u, v, s) -> Edge:
+    """Check one edge in order (loop, range, sign) and raise the first
+    failure's error; an edge that passes comes back as its u < v triple."""
+    if u == v:
+        raise LoopEdgeError(f"loop edge at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexRangeError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+    if s not in (-1, 1):
+        raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
+    return (u, v, s) if u < v else (v, u, s)
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> SignedGraph:
@@ -306,18 +289,18 @@ def is_antibalanced(g: SignedGraph) -> bool:
 def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """Same underlying graph and related by some scalar switching.
 
-    Uses the product-signature test: the two graphs are equivalent exactly
-    when the graph carrying the product of their signs on each edge is
-    balanced.
+    Graphs with the same sorted vertex pairs have the same adjacency and so
+    the same BFS forest, and each one's spanning-tree switching makes every
+    forest edge positive. So the two are equivalent exactly when their edge
+    pairs agree and the two switched signs agree on every edge.
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    prod = []
+    z1, z2 = g1._bfs[1], g2._bfs[1]
     for (u, v, s), (x, y, t) in zip(g1.edges, g2.edges):
-        if u != x or v != y:
+        if u != x or v != y or s * z1[u] * z1[v] != t * z2[u] * z2[v]:
             return False
-        prod.append((u, v, s * t))
-    return is_balanced(SignedGraph(g1.n, tuple(prod)))[0]
+    return True
 
 
 def components(g: SignedGraph) -> list[list[int]]:

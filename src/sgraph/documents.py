@@ -20,7 +20,7 @@ class DocumentError(ValueError):
 def _load_object(text: str, what: str) -> dict:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int beyond the digit limit
         raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must be a JSON object")
@@ -61,15 +61,14 @@ def _dumps(doc: dict) -> str:
     return "{\n " + ",\n ".join(items) + "\n}"
 
 
-def _int_triples(edges: list) -> bool:
-    """Whether every entry of a parsed edge list is a list of three ints.
-
-    Parsed JSON holds only exact types, so an exact int is never a bool.
-    """
+def _int_rows(rows: list, width: int | None = None) -> bool:
+    """Whether every entry of a parsed list is a list of ints, each of
+    `width` ints when given. Parsed JSON holds only exact types, so an exact
+    int is never a bool."""
     return (
-        set(map(type, edges)) <= {list}
-        and set(map(len, edges)) <= {3}
-        and set(map(type, chain.from_iterable(edges))) <= {int}
+        set(map(type, rows)) <= {list}
+        and (width is None or set(map(len, rows)) <= {width})
+        and set(map(type, chain.from_iterable(rows))) <= {int}
     )
 
 
@@ -108,14 +107,9 @@ class GraphDocument:
             raise DocumentError('"n" must be an integer')
         if not isinstance(edges, list):
             raise DocumentError('"edges" must be a list of [u, v, sign] triples')
-        if not _int_triples(edges):
-            for e in edges:
-                if not (
-                    isinstance(e, list)
-                    and len(e) == 3
-                    and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-                ):
-                    raise DocumentError(f"bad edge entry {e!r}")
+        if not _int_rows(edges, 3):
+            bad = next(e for e in edges if not _int_rows([e], 3))
+            raise DocumentError(f"bad edge entry {bad!r}")
         name = raw.get("name")
         if name is not None and not isinstance(name, str):
             raise DocumentError('"name" must be a string')
@@ -151,12 +145,9 @@ class WitnessDocument:
             raise DocumentError('"k" must be an integer')
         if not isinstance(zeta, list):
             raise DocumentError('"zeta" must be a list of vectors')
-        for vec in zeta:
-            if not (
-                isinstance(vec, list)
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in vec)
-            ):
-                raise DocumentError(f"bad vector entry {vec!r}")
+        if not _int_rows(zeta):
+            bad = next(vec for vec in zeta if not _int_rows([vec]))
+            raise DocumentError(f"bad vector entry {bad!r}")
         try:
             switching = KSwitching(k, tuple(tuple(vec) for vec in zeta))
         except ValueError as exc:

@@ -281,9 +281,9 @@ def _c9_holds(p: dict) -> bool:
 
 
 def _c10_instances(budget: Budget, rng: random.Random):
-    # larger orders are exact but far beyond desk-scale budgets: the
-    # all-negative complete graph on 6 vertices already has dimension 7
-    # and needs minutes of search
+    # the next orders, K2-[K3-] and K3-[K2-], are the all-negative complete
+    # graph on 6 vertices (dimension 7): about 2 s of search each, too
+    # slow for the default suite; larger orders wait for certificates
     yield {"m": 2, "n": 2}
 
 

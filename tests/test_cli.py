@@ -129,6 +129,32 @@ def test_bdim_cap_exceeded_exits_one(tmp_path, capsys):
     assert "no positive switching" in capsys.readouterr().err
 
 
+def test_bdim_max_k_below_one_is_input_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    main(["gen", "antibalanced-complete", "3"])
+    g.write_text(capsys.readouterr().out)
+    assert main(["bdim", str(g), "--max-k", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["bdim", str(g), "--max-k", "-3", "--oracle"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_fault_propagates(tmp_path, capsys, monkeypatch):
+    import sgraph.cli as cli_module
+    from sgraph.bdim import DimensionMismatchError
+
+    g = tmp_path / "g.json"
+    main(["gen", "antibalanced-complete", "3"])
+    g.write_text(capsys.readouterr().out)
+
+    def broken_search(graph, max_k=None):
+        raise DimensionMismatchError("dimension mismatch: 2 vs 3")
+
+    monkeypatch.setattr(cli_module, "bdim_search", broken_search)
+    with pytest.raises(DimensionMismatchError):
+        main(["bdim", str(g)])
+
+
 def test_product_carries_pair_labels(tmp_path, capsys):
     a = tmp_path / "a.json"
     main(["gen", "unbalanced-cycle", "3"])
@@ -253,6 +279,10 @@ def test_malformed_document_is_input_error(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]], "bogus": 1}))
     assert main(["balance", str(bad)]) == 2
     assert main(["balance", str(tmp_path / "missing.json")]) == 2
+    bad.write_bytes(b'\xff{"n": 1, "edges": []}')
+    assert main(["balance", str(bad)]) == 2
+    bad.write_text('{"n": 3, "edges": [[0, 1, ' + "1" * 5000 + "]]}")
+    assert main(["balance", str(bad)]) == 2
     capsys.readouterr()
 
 
@@ -264,6 +294,10 @@ def test_malformed_witness_is_input_error(tmp_path, capsys):
     w.write_text(json.dumps({"k": 1, "zeta": [[1], [3], [1]]}))
     assert main(["switch", str(g), str(w)]) == 2
     w.write_text(json.dumps({"k": 2, "zeta": [[1], [1], [1]]}))
+    assert main(["switch", str(g), str(w)]) == 2
+    w.write_text(json.dumps({"k": 1, "zeta": [[1], [1]]}))
+    assert main(["switch", str(g), str(w)]) == 2
+    w.write_text(json.dumps({"k": 2, "zeta": [[1, 0], [0, 1], [1, 0]]}))
     assert main(["switch", str(g), str(w)]) == 2
     capsys.readouterr()
 

@@ -244,13 +244,32 @@ def test_switching_equivalence_triangle_pairs():
     assert is_switching_equivalent(one_neg, other_one_neg) is True
 
 
+def _pairs_graph(n, pairs):
+    return build_graph(n, [(u, v, 1) for u, v in pairs])
+
+
 @pytest.mark.parametrize(
-    "family",
-    [unbalanced_cycle(4), all_positive_complete(4)],
-    ids=["C4", "K4"],
+    "families",
+    [
+        (unbalanced_cycle(4),),
+        (all_positive_complete(4),),
+        # isolated vertices 0 and 4 around a triangle and an edge: one BFS
+        # root per component
+        (_pairs_graph(7, [(1, 2), (2, 3), (1, 3), (5, 6)]),),
+        # same n and edge count, different vertex pairs: never equivalent
+        (_pairs_graph(4, [(0, 1), (1, 2), (2, 3)]), _pairs_graph(4, [(0, 1), (0, 2), (0, 3)])),
+        (
+            _pairs_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            _pairs_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+        ),
+        (_pairs_graph(4, [(0, 1), (0, 2), (1, 2)]), _pairs_graph(4, [(0, 1), (0, 2), (0, 3)])),
+        (_pairs_graph(5, [(0, 1), (2, 3)]), _pairs_graph(5, [(0, 1), (2, 4)])),
+        (_pairs_graph(5, [(0, 1), (1, 2), (0, 2)]), _pairs_graph(5, [(0, 1), (1, 2), (3, 4)])),
+    ],
+    ids=["C4", "K4", "K3+K2+2K1", "P4|star", "C4|paw", "K3+K1|star", "last-pair", "K3|P3+K2"],
 )
-def test_switching_equivalence_matches_bruteforce_on_all_pairs(family):
-    sigs = list(helpers.all_signatures(family))
+def test_switching_equivalence_matches_bruteforce_on_all_pairs(families):
+    sigs = [g for family in families for g in helpers.all_signatures(family)]
     for g1 in sigs:
         for g2 in sigs:
             assert is_switching_equivalent(g1, g2) == helpers.brute_switching_equivalent(g1, g2)

@@ -129,6 +129,38 @@ def test_malformed_graph_documents_keep_their_errors(text, error, message):
     assert str(info.value) == message
 
 
+# (witness text, error type, message), recorded from the per-entry loop.
+MALFORMED_WITNESSES = [
+    ('{"k": 1, "zeta": [[1], 1, [1]]}', DocumentError, "bad vector entry 1"),
+    ('{"k": 1, "zeta": [[1], {"a": 1}]}', DocumentError, "bad vector entry {'a': 1}"),
+    ('{"k": 1, "zeta": [null]}', DocumentError, "bad vector entry None"),
+    ('{"k": 2, "zeta": [[1, 0], [true, 0]]}', DocumentError, "bad vector entry [True, 0]"),
+    ('{"k": 1, "zeta": [[1], [false]]}', DocumentError, "bad vector entry [False]"),
+    ('{"k": 2, "zeta": [[1, 0], [0, 1.0]]}', DocumentError, "bad vector entry [0, 1.0]"),
+    ('{"k": 2, "zeta": [[1, [0]]]}', DocumentError, "bad vector entry [1, [0]]"),
+    ('{"k": 2, "zeta": [[1, 0], "10"]}', DocumentError, "bad vector entry '10'"),
+    ('{"k": 2, "zeta": [[1, 0], [0, "1"]]}', DocumentError, "bad vector entry [0, '1']"),
+    ('{"k": 1, "zeta": [[]]}', DocumentError, "vector at vertex 0 has length 0, expected 1"),
+    ('{"k": 2, "zeta": [[1, 0], []]}', DocumentError, "vector at vertex 1 has length 0, expected 2"),
+    ('{"k": 2, "zeta": [[1, 0], [1, 0, 0]]}', DocumentError, "vector at vertex 1 has length 3, expected 2"),
+    ('{"k": 2, "zeta": [[1, 0], [1]]}', DocumentError, "vector at vertex 1 has length 1, expected 2"),
+    ('{"k": 1, "zeta": [[2]]}', DocumentError, "vector at vertex 0 has entries outside -1/0/1"),
+    ('{"k": 0, "zeta": []}', DocumentError, "dimension must be >= 1, got 0"),
+    ('{"k": true, "zeta": []}', DocumentError, '"k" must be an integer'),
+    ('{"k": 1, "zeta": {"0": [1]}}', DocumentError, '"zeta" must be a list of vectors'),
+    ('{"k": 1, "zeta": [[1]], "extra": 0}', DocumentError, "unknown witness document keys: ['extra']"),
+    ("[1]", DocumentError, "witness document must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED_WITNESSES)
+def test_malformed_witness_documents_keep_their_errors(text, error, message):
+    with pytest.raises(error) as info:
+        WitnessDocument.from_json(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_parsed_edges_match_build_graph():
     rng = random.Random(11)
     for _ in range(50):
