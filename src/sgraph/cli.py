@@ -67,6 +67,14 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph(path: str) -> GraphDocument:
     return GraphDocument.from_json(_read_text(path))
 
@@ -104,8 +112,7 @@ def _cmd_bdim(args) -> int:
         return 1
     print(f"bdim = {result.dimension}")
     if args.witness:
-        with open(args.witness, "w", encoding="utf-8") as handle:
-            handle.write(WitnessDocument(result.witness).to_json())
+        _write_text(args.witness, WitnessDocument(result.witness).to_json())
     if args.oracle:
         check = bdim_oracle(doc.graph, max_k=args.max_k)
         if check != result.dimension:
@@ -170,8 +177,7 @@ def _cmd_verify(args) -> int:
     for report in reports:
         print(format_report(report))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump([report_record(r) for r in reports], handle, indent=1)
+        _write_text(args.json, json.dumps([report_record(r) for r in reports], indent=1))
     failed = [r for r in reports if r.status == "fail"]
     print(f"{len(reports) - len(failed)}/{len(reports)} claims passed")
     return 1 if failed else 0

@@ -20,7 +20,7 @@ class DocumentError(ValueError):
 def _load_object(text: str, what: str) -> dict:
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # also an int beyond the digit limit
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must be a JSON object")

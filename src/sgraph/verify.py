@@ -1,9 +1,11 @@
 """Structural facts about signed-graph products, checked mechanically.
 
 Each claim pairs an instance generator with a pure pass/fail predicate over
-serializable instance payloads. A failing claim reports the first failing
-payload, which can be re-checked standalone; a pass means only that no
-counterexample was found among the generated instances at the given budget.
+serializable instance payloads. Claims of one theorem shape share one instance
+family and one relation that takes the product kind. A failing claim reports
+the first failing payload, which can be re-checked standalone; a pass means
+only that no counterexample was found among the generated instances at the
+given budget.
 Runs are deterministic for a fixed seed.
 """
 
@@ -31,7 +33,7 @@ from .core import (
     path_graph,
     unbalanced_cycle,
 )
-from .products import bcd_lex, cartesian, hg_lex, strong, tensor
+from .products import bcd_lex, cartesian, hg_lex, product, strong, tensor
 from .tables import table_witness
 
 PASS = "pass"
@@ -105,17 +107,10 @@ def _random_balanced_connected(rng: random.Random, n: int) -> SignedGraph:
     return apply_switching(allpos, zeta)
 
 
-def _random_antibalanced_connected(rng: random.Random, n: int) -> SignedGraph:
-    return negate(_random_balanced_connected(rng, n))
-
-
-def _signatures(n: int, pairs: list[tuple[int, int]]) -> Iterator[SignedGraph]:
-    for signs in iproduct((-1, 1), repeat=len(pairs)):
-        yield SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(pairs, signs)))
-
-
-def _underlying(g: SignedGraph) -> list[tuple[int, int]]:
-    return [(u, v) for u, v, _ in g.edges]
+def _signatures(u: SignedGraph) -> Iterator[SignedGraph]:
+    """Every signature of u's underlying graph."""
+    for signs in iproduct((-1, 1), repeat=len(u.edges)):
+        yield SignedGraph(u.n, tuple((a, b, s) for (a, b, _), s in zip(u.edges, signs)))
 
 
 _SMALL = {
@@ -124,6 +119,11 @@ _SMALL = {
     "C3": unbalanced_cycle(3),
     "C4": unbalanced_cycle(4),
 }
+
+
+# one registry for the module: its entries depend only on the order, so a
+# dimension computed once is reused by every later instance and run
+_KNOWN = KnownBdim()
 
 
 def _bdim(g: SignedGraph) -> int:
@@ -139,20 +139,72 @@ def _exceeds(g: SignedGraph, cap: int) -> bool:
     return False
 
 
-# -- claims ------------------------------------------------------------------
+# -- instance families and relations by product kind ------------------------
 
 
-def _c1_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 3)
-        g2 = _random_balanced_connected(rng, 2 + (t // 3) % 2)
+def _signed_pairs(lefts: tuple[str, ...], rights: tuple[str, ...]):
+    """Every signature of each named left graph against each named right one."""
+    for left, right in iproduct(lefts, rights):
+        for g1 in _signatures(_SMALL[left]):
+            for g2 in _signatures(_SMALL[right]):
+                yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
+
+
+def _balanced_factor_instances(trials: int, rng: random.Random, period: int):
+    """Connected g1 against balanced connected g2, g2 on the left when swapped."""
+    for t in range(trials):
+        g1 = _random_connected(rng, 2 + t % period)
+        g2 = _random_balanced_connected(rng, 2 + (t // period) % 2)
         yield {"g1": _gdoc(g1), "g2": _gdoc(g2), "swapped": t % 2 == 1}
 
 
-def _c1_holds(p: dict) -> bool:
+def _transport_instances(budget: Budget, rng: random.Random):
+    for t in range(budget.trials):
+        g1 = _random_connected(rng, 2 + t % 3)
+        g2 = _random_connected(rng, 2 + (t // 2) % 2)
+        zeta = tuple(_rand_sign(rng) for _ in range(g1.n))
+        yield {"g1": _gdoc(g1), "g2": _gdoc(g2), "zeta": list(zeta)}
+
+
+def _allpos_factor_instances(budget: Budget, rng: random.Random):
+    for t in range(budget.trials):
+        g1 = _random_connected(rng, 2 + t % 3)
+        g2 = all_positive_complete(2) if t % 2 == 0 else path_graph(3)
+        yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
+
+
+def _left_and_product(kind: str, p: dict) -> tuple[SignedGraph, SignedGraph]:
+    """g1 and its product with g2, g2 on the left when swapped."""
     g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
-    prod = cartesian(g2, g1) if p["swapped"] else cartesian(g1, g2)
-    return _bdim(prod) == _bdim(g1)
+    if p.get("swapped"):
+        return g1, product(kind, g2, g1)
+    return g1, product(kind, g1, g2)
+
+
+def _keeps_left_dimension(kind: str) -> Callable[[dict], bool]:
+    """The product has g1's balancing dimension."""
+
+    def holds(p: dict) -> bool:
+        g1, prod = _left_and_product(kind, p)
+        return _bdim(prod) == _bdim(g1)
+
+    return holds
+
+
+def _switch_left_factor(kind: str) -> Callable[[dict], bool]:
+    """Switching g1 by zeta keeps the product in its switching class."""
+
+    def holds(p: dict) -> bool:
+        g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
+        switched = apply_switching(g1, tuple(p["zeta"]))
+        return is_switching_equivalent(
+            product(kind, switched, g2), product(kind, g1, g2)
+        )
+
+    return holds
+
+
+# -- claims ------------------------------------------------------------------
 
 
 def _c2_instances(budget: Budget, rng: random.Random):
@@ -190,7 +242,7 @@ def _c3_holds(p: dict) -> bool:
     m, n = p["m"], p["n"]
     prod = cartesian(all_negative_complete(m), all_negative_complete(n))
     if p["kind"] == "bdim":
-        return _bdim(prod) == KnownBdim().antibalanced_complete_bdim(max(m, n))
+        return _bdim(prod) == _KNOWN.antibalanced_complete_bdim(max(m, n))
     base = bdim_search(all_negative_complete(m)).witness
     return is_k_positive(prod, table_witness(5, m, n, base=base))
 
@@ -198,23 +250,14 @@ def _c3_holds(p: dict) -> bool:
 def _c4_instances(budget: Budget, rng: random.Random):
     for t in range(budget.trials):
         n = 2 + t % 3
-        g = _random_antibalanced_connected(rng, n)
+        g = negate(_random_balanced_connected(rng, n))
         yield {"g": _gdoc(g), "n": n}
 
 
 def _c4_holds(p: dict) -> bool:
     g, n = _gfrom(p["g"]), p["n"]
-    expected = KnownBdim().antibalanced_complete_bdim(n)
+    expected = _KNOWN.antibalanced_complete_bdim(n)
     return _bdim(cartesian(g, all_negative_complete(n))) == expected
-
-
-def _c5_instances(budget: Budget, rng: random.Random):
-    for left in ("P3", "C3", "C4"):
-        for right in ("K2", "P3"):
-            u1, u2 = _SMALL[left], _SMALL[right]
-            for g1 in _signatures(u1.n, _underlying(u1)):
-                for g2 in _signatures(u2.n, _underlying(u2)):
-                    yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
 
 
 def _c5_holds(p: dict) -> bool:
@@ -224,13 +267,9 @@ def _c5_holds(p: dict) -> bool:
 
 
 def _c6_instances(budget: Budget, rng: random.Random):
-    for left in ("K2", "P3", "C3"):
-        for right in ("K2", "P3"):
-            u1, u2 = _SMALL[left], _SMALL[right]
-            for g1 in _signatures(u1.n, _underlying(u1)):
-                for g2 in _signatures(u2.n, _underlying(u2)):
-                    if any(s == -1 for _, _, s in g2.edges):
-                        yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
+    for p in _signed_pairs(("K2", "P3", "C3"), ("K2", "P3")):
+        if any(s == -1 for _, _, s in p["g2"]["edges"]):
+            yield p
 
 
 def _c6_holds(p: dict) -> bool:
@@ -239,8 +278,7 @@ def _c6_holds(p: dict) -> bool:
 
 def _c7_instances(budget: Budget, rng: random.Random):
     for name in ("P3", "C3"):
-        u = _SMALL[name]
-        for g in _signatures(u.n, _underlying(u)):
+        for g in _signatures(_SMALL[name]):
             for k in (1, 2, 3):
                 yield {"g": _gdoc(g), "k": k}
 
@@ -252,24 +290,9 @@ def _c7_holds(p: dict) -> bool:
     return _bdim(hg_lex(nk, g)) == d and _bdim(hg_lex(g, nk)) == d
 
 
-def _transport_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 3)
-        g2 = _random_connected(rng, 2 + (t // 2) % 2)
-        zeta = tuple(_rand_sign(rng) for _ in range(g1.n))
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2), "zeta": list(zeta)}
-
-
-def _c8_holds(p: dict) -> bool:
-    g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
-    switched = apply_switching(g1, tuple(p["zeta"]))
-    return is_switching_equivalent(hg_lex(switched, g2), hg_lex(g1, g2))
-
-
 def _c9_instances(budget: Budget, rng: random.Random):
     for name in ("C3", "C4"):
-        u = _SMALL[name]
-        for g1 in _signatures(u.n, _underlying(u)):
+        for g1 in _signatures(_SMALL[name]):
             if not is_antibalanced(g1):
                 continue
             for g2 in (all_negative_complete(2), negate(path_graph(3))):
@@ -290,54 +313,21 @@ def _c10_instances(budget: Budget, rng: random.Random):
 def _c10_holds(p: dict) -> bool:
     m, n = p["m"], p["n"]
     prod = hg_lex(all_negative_complete(m), all_negative_complete(n))
-    return _bdim(prod) == KnownBdim().antibalanced_complete_bdim(m * n)
-
-
-def _allpos_factor_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 3)
-        g2 = all_positive_complete(2) if t % 2 == 0 else path_graph(3)
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
-
-
-def _c11_holds(p: dict) -> bool:
-    g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
-    return _bdim(hg_lex(g1, g2)) == _bdim(g1)
-
-
-def _c12_holds(p: dict) -> bool:
-    g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
-    switched = apply_switching(g1, tuple(p["zeta"]))
-    return is_switching_equivalent(bcd_lex(switched, g2), bcd_lex(g1, g2))
-
-
-def _c13_holds(p: dict) -> bool:
-    g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
-    return _bdim(bcd_lex(g1, g2)) == _bdim(g1)
+    return _bdim(prod) == _KNOWN.antibalanced_complete_bdim(m * n)
 
 
 def _c14_instances(budget: Budget, rng: random.Random):
     for t in range(budget.trials):
         g1 = _random_balanced_connected(rng, 2 + t % 2)
         n2 = 2 + (t // 2) % 2
-        pairs = _underlying(all_positive_complete(n2))
-        signs = tuple(_rand_sign(rng) for _ in pairs)
-        g2 = SignedGraph(n2, tuple((u, v, s) for (u, v), s in zip(pairs, signs)))
+        edges = all_positive_complete(n2).edges
+        g2 = SignedGraph(n2, tuple((u, v, _rand_sign(rng)) for u, v, _ in edges))
         yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
 
 
 def _c14_holds(p: dict) -> bool:
     g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
     return _bdim(bcd_lex(g1, g2)) == _bdim(g2)
-
-
-def _c15_instances(budget: Budget, rng: random.Random):
-    for left in ("K2", "P3", "C3"):
-        for right in ("K2", "P3", "C3"):
-            u1, u2 = _SMALL[left], _SMALL[right]
-            for g1 in _signatures(u1.n, _underlying(u1)):
-                for g2 in _signatures(u2.n, _underlying(u2)):
-                    yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
 
 
 def _c15_holds(p: dict) -> bool:
@@ -350,10 +340,8 @@ def _c15_holds(p: dict) -> bool:
 def _c16_instances(budget: Budget, rng: random.Random):
     yield {"kind": "strict"}
     yield {"kind": "equal"}
-    for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 3)
-        g2 = _random_balanced_connected(rng, 2 + (t // 3) % 2)
-        yield {"kind": "bound", "g1": _gdoc(g1), "g2": _gdoc(g2), "swapped": t % 2 == 1}
+    for p in _balanced_factor_instances(budget.trials, rng, 3):
+        yield {"kind": "bound", **p}
 
 
 def _c16_holds(p: dict) -> bool:
@@ -367,8 +355,7 @@ def _c16_holds(p: dict) -> bool:
     if p["kind"] == "equal":
         prod = tensor(all_negative_complete(3), all_positive_complete(3))
         return _bdim(prod) == 3 == _bdim(all_negative_complete(3))
-    g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
-    prod = tensor(g2, g1) if p["swapped"] else tensor(g1, g2)
+    g1, prod = _left_and_product("tensor", p)
     return _bdim(prod) <= _bdim(g1)
 
 
@@ -386,19 +373,6 @@ def _c17_holds(p: dict) -> bool:
     s1 = apply_switching(g1, tuple(p["z1"]))
     s2 = apply_switching(g2, tuple(p["z2"]))
     return is_switching_equivalent(strong(s1, s2), strong(g1, g2))
-
-
-def _c18_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 2)
-        g2 = _random_balanced_connected(rng, 2 + (t // 2) % 2)
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2), "swapped": t % 2 == 1}
-
-
-def _c18_holds(p: dict) -> bool:
-    g1, g2 = _gfrom(p["g1"]), _gfrom(p["g2"])
-    prod = strong(g2, g1) if p["swapped"] else strong(g1, g2)
-    return _bdim(prod) == _bdim(g1)
 
 
 def _c19_instances(budget: Budget, rng: random.Random):
@@ -450,174 +424,174 @@ def _c19_holds(p: dict) -> bool:
     raise ValueError(f"unknown check {check!r}")
 
 
-def _registry() -> dict[str, Claim]:
-    specs = [
-        (
-            "C1",
-            "Cartesian product with a balanced factor keeps the unbalanced "
-            "factor's balancing dimension",
-            Budget(trials=18),
-            _c1_instances,
-            _c1_holds,
-        ),
-        (
-            "C2",
-            "Cartesian products of one-negative cycles have dimension 2 when "
-            "both orders exceed 3, otherwise 3; the tabulated assignments "
-            "witness both cases",
-            Budget(trials=1),
-            _c2_instances,
-            _c2_holds,
-        ),
-        (
-            "C3",
-            "Cartesian products of all-negative complete graphs take the "
-            "dimension of the larger factor; the cyclic shift of the larger "
-            "factor's witness certifies it",
-            Budget(trials=1),
-            _c3_instances,
-            _c3_holds,
-        ),
-        (
-            "C4",
-            "An antibalanced graph on n vertices times the all-negative "
-            "complete graph on n vertices has that complete graph's dimension",
-            Budget(trials=9),
-            _c4_instances,
-            _c4_holds,
-        ),
-        (
-            "C5",
-            "First-convention lexicographic product is balanced exactly when "
-            "the left factor is balanced and the right factor is all-positive",
-            Budget(trials=1),
-            _c5_instances,
-            _c5_holds,
-        ),
-        (
-            "C6",
-            "A negative edge in the right factor forces first-convention "
-            "lexicographic dimension at least 3",
-            Budget(trials=1),
-            _c6_instances,
-            _c6_holds,
-        ),
-        (
-            "C7",
-            "Composing with an edgeless graph on either side preserves "
-            "balancing dimension",
-            Budget(trials=1),
-            _c7_instances,
-            _c7_holds,
-        ),
-        (
-            "C8",
-            "Switching the left factor keeps the first-convention "
-            "lexicographic product in the same switching class",
-            Budget(trials=100),
-            _transport_instances,
-            _c8_holds,
-        ),
-        (
-            "C9",
-            "Antibalanced left factor and all-negative right factor give an "
-            "antibalanced first-convention lexicographic product",
-            Budget(trials=1),
-            _c9_instances,
-            _c9_holds,
-        ),
-        (
-            "C10",
-            "All-negative complete factors compose to the all-negative "
-            "complete graph on the product order, with matching dimension",
-            Budget(trials=1),
-            _c10_instances,
-            _c10_holds,
-        ),
-        (
-            "C11",
-            "All-positive right factor preserves the left factor's dimension "
-            "under the first-convention lexicographic product",
-            Budget(trials=20),
-            _allpos_factor_instances,
-            _c11_holds,
-        ),
-        (
-            "C12",
-            "Switching the left factor keeps the second-convention "
-            "lexicographic product in the same switching class",
-            Budget(trials=100),
-            _transport_instances,
-            _c12_holds,
-        ),
-        (
-            "C13",
-            "All-positive right factor preserves the left factor's dimension "
-            "under the second-convention lexicographic product",
-            Budget(trials=20),
-            _allpos_factor_instances,
-            _c13_holds,
-        ),
-        (
-            "C14",
-            "Balanced left factor and complete right factor: the "
-            "second-convention lexicographic product takes the right "
-            "factor's dimension",
-            Budget(trials=12),
-            _c14_instances,
-            _c14_holds,
-        ),
-        (
-            "C15",
-            "Tensor product of connected factors is balanced exactly when "
-            "both are balanced or both are antibalanced",
-            Budget(trials=1),
-            _c15_instances,
-            _c15_holds,
-        ),
-        (
-            "C16",
-            "Tensor product with a balanced factor never exceeds the other "
-            "factor's dimension; both strict drop and equality occur",
-            Budget(trials=16),
-            _c16_instances,
-            _c16_holds,
-        ),
-        (
-            "C17",
-            "Switching either strong-product factor keeps the product in the "
-            "same switching class",
-            Budget(trials=100),
-            _c17_instances,
-            _c17_holds,
-        ),
-        (
-            "C18",
-            "Strong product with a balanced factor keeps the unbalanced "
-            "factor's balancing dimension",
-            Budget(trials=12),
-            _c18_instances,
-            _c18_holds,
-        ),
-        (
-            "C19",
-            "Worked examples: the 4-vertex antibalanced complete composition, "
-            "a dimension-collapsing tensor, a balanced-but-not-antibalanced "
-            "strong square, composition-order asymmetry, and the "
-            "second-convention antibalance gap",
-            Budget(trials=1),
-            _c19_instances,
-            _c19_holds,
-        ),
-    ]
-    return {
-        cid: Claim(cid, desc, budget, inst, holds)
-        for cid, desc, budget, inst, holds in specs
-    }
-
-
-_REGISTRY = _registry()
+_CLAIMS = (
+    Claim(
+        "C1",
+        "Cartesian product with a balanced factor keeps the unbalanced "
+        "factor's balancing dimension",
+        Budget(trials=18),
+        lambda budget, rng: _balanced_factor_instances(budget.trials, rng, 3),
+        _keeps_left_dimension("cartesian"),
+    ),
+    Claim(
+        "C2",
+        "Cartesian products of one-negative cycles have dimension 2 when "
+        "both orders exceed 3, otherwise 3; the tabulated assignments "
+        "witness both cases",
+        Budget(trials=1),
+        _c2_instances,
+        _c2_holds,
+    ),
+    Claim(
+        "C3",
+        "Cartesian products of all-negative complete graphs take the "
+        "dimension of the larger factor; the cyclic shift of the larger "
+        "factor's witness certifies it",
+        Budget(trials=1),
+        _c3_instances,
+        _c3_holds,
+    ),
+    Claim(
+        "C4",
+        "An antibalanced graph on n vertices times the all-negative "
+        "complete graph on n vertices has that complete graph's dimension",
+        Budget(trials=9),
+        _c4_instances,
+        _c4_holds,
+    ),
+    Claim(
+        "C5",
+        "First-convention lexicographic product is balanced exactly when "
+        "the left factor is balanced and the right factor is all-positive",
+        Budget(trials=1),
+        lambda budget, rng: _signed_pairs(("P3", "C3", "C4"), ("K2", "P3")),
+        _c5_holds,
+    ),
+    Claim(
+        "C6",
+        "A negative edge in the right factor forces first-convention "
+        "lexicographic dimension at least 3",
+        Budget(trials=1),
+        _c6_instances,
+        _c6_holds,
+    ),
+    Claim(
+        "C7",
+        "Composing with an edgeless graph on either side preserves "
+        "balancing dimension",
+        Budget(trials=1),
+        _c7_instances,
+        _c7_holds,
+    ),
+    Claim(
+        "C8",
+        "Switching the left factor keeps the first-convention "
+        "lexicographic product in the same switching class",
+        Budget(trials=100),
+        _transport_instances,
+        _switch_left_factor("hg_lex"),
+    ),
+    Claim(
+        "C9",
+        "Antibalanced left factor and all-negative right factor give an "
+        "antibalanced first-convention lexicographic product",
+        Budget(trials=1),
+        _c9_instances,
+        _c9_holds,
+    ),
+    Claim(
+        "C10",
+        "All-negative complete factors compose to the all-negative "
+        "complete graph on the product order, with matching dimension",
+        Budget(trials=1),
+        _c10_instances,
+        _c10_holds,
+    ),
+    Claim(
+        "C11",
+        "All-positive right factor preserves the left factor's dimension "
+        "under the first-convention lexicographic product",
+        Budget(trials=20),
+        _allpos_factor_instances,
+        _keeps_left_dimension("hg_lex"),
+    ),
+    Claim(
+        "C12",
+        "Switching the left factor keeps the second-convention "
+        "lexicographic product in the same switching class",
+        Budget(trials=100),
+        _transport_instances,
+        _switch_left_factor("bcd_lex"),
+    ),
+    Claim(
+        "C13",
+        "All-positive right factor preserves the left factor's dimension "
+        "under the second-convention lexicographic product",
+        Budget(trials=20),
+        _allpos_factor_instances,
+        _keeps_left_dimension("bcd_lex"),
+    ),
+    Claim(
+        "C14",
+        "Balanced left factor and complete right factor: the "
+        "second-convention lexicographic product takes the right "
+        "factor's dimension",
+        Budget(trials=12),
+        _c14_instances,
+        _c14_holds,
+    ),
+    Claim(
+        "C15",
+        "Tensor product of connected factors is balanced exactly when "
+        "both are balanced or both are antibalanced",
+        Budget(trials=1),
+        lambda budget, rng: _signed_pairs(("K2", "P3", "C3"), ("K2", "P3", "C3")),
+        _c15_holds,
+    ),
+    Claim(
+        "C16",
+        "Tensor product with a balanced factor never exceeds the other "
+        "factor's dimension; both strict drop and equality occur",
+        Budget(trials=16),
+        _c16_instances,
+        _c16_holds,
+    ),
+    Claim(
+        "C17",
+        "Switching either strong-product factor keeps the product in the "
+        "same switching class",
+        Budget(trials=100),
+        _c17_instances,
+        _c17_holds,
+    ),
+    Claim(
+        "C18",
+        "Strong product with a balanced factor keeps the unbalanced "
+        "factor's balancing dimension",
+        Budget(trials=12),
+        lambda budget, rng: _balanced_factor_instances(budget.trials, rng, 2),
+        _keeps_left_dimension("strong"),
+    ),
+    Claim(
+        "C19",
+        "Worked examples: the 4-vertex antibalanced complete composition, "
+        "a dimension-collapsing tensor, a balanced-but-not-antibalanced "
+        "strong square, composition-order asymmetry, and the "
+        "second-convention antibalance gap",
+        Budget(trials=1),
+        _c19_instances,
+        _c19_holds,
+    ),
+)
+_REGISTRY = {claim.claim_id: claim for claim in _CLAIMS}
 CLAIM_IDS = tuple(_REGISTRY)
+
+
+def _claim(claim_id: str) -> Claim:
+    try:
+        return _REGISTRY[claim_id]
+    except KeyError:
+        raise UnknownClaimError(f"unknown claim id: {claim_id}") from None
 
 
 def run_claims(
@@ -641,43 +615,28 @@ def run_claims(
     reports = []
     for cid in ids:
         claim = _REGISTRY[cid]
-        budget = claim.budget
-        if overrides and cid in overrides:
-            budget = overrides[cid]
+        budget = (overrides or {}).get(cid, claim.budget)
         start = time.perf_counter()
-        if budget.trials == 0:
-            reports.append(
-                ClaimReport(cid, SKIPPED, 0, None, time.perf_counter() - start)
-            )
-            continue
-        rng = random.Random(f"{seed}:{cid}")
-        checked = 0
-        counterexample = None
-        for payload in claim.instances(budget, rng):
-            checked += 1
-            if not claim.holds(payload):
-                counterexample = payload
-                break
-        status = FAIL if counterexample is not None else PASS
-        reports.append(
-            ClaimReport(
-                cid, status, checked, counterexample, time.perf_counter() - start
-            )
-        )
+        checked, counterexample, status = 0, None, SKIPPED
+        if budget.trials != 0:
+            status = PASS
+            for payload in claim.instances(budget, random.Random(f"{seed}:{cid}")):
+                checked += 1
+                if not claim.holds(payload):
+                    counterexample, status = payload, FAIL
+                    break
+        elapsed = time.perf_counter() - start
+        reports.append(ClaimReport(cid, status, checked, counterexample, elapsed))
     return reports
 
 
 def recheck_counterexample(claim_id: str, payload: dict) -> bool:
     """Re-run one claim instance standalone; False reproduces the failure."""
-    if claim_id not in _REGISTRY:
-        raise UnknownClaimError(f"unknown claim id: {claim_id}")
-    return _REGISTRY[claim_id].holds(payload)
+    return _claim(claim_id).holds(payload)
 
 
 def claim_description(claim_id: str) -> str:
-    if claim_id not in _REGISTRY:
-        raise UnknownClaimError(f"unknown claim id: {claim_id}")
-    return _REGISTRY[claim_id].description
+    return _claim(claim_id).description
 
 
 def format_report(report: ClaimReport) -> str:

@@ -121,6 +121,17 @@ def test_bdim_witness_file_and_oracle(tmp_path, capsys):
     assert is_k_positive(unbalanced_cycle(5), witness.switching)
 
 
+def test_unwritable_witness_path_is_input_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    main(["gen", "unbalanced-cycle", "4"])
+    g.write_text(capsys.readouterr().out)
+    target = tmp_path / "missing" / "w.json"
+    assert main(["bdim", str(g), "--witness", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "bdim = 2\n"
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
 def test_bdim_cap_exceeded_exits_one(tmp_path, capsys):
     g = tmp_path / "g.json"
     main(["gen", "antibalanced-complete", "3"])
@@ -237,6 +248,14 @@ def test_verify_subcommand(tmp_path, capsys):
     assert all(r["status"] == "pass" for r in data)
 
 
+def test_unwritable_records_path_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "records.json"
+    assert main(["verify", "--claims", "C19", "--json", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "C19" in captured.out
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
 def test_verify_unknown_claim(capsys):
     assert main(["verify", "--claims", "C99"]) == 2
     assert "unknown claim" in capsys.readouterr().err
@@ -300,6 +319,20 @@ def test_malformed_witness_is_input_error(tmp_path, capsys):
     w.write_text(json.dumps({"k": 2, "zeta": [[1, 0], [0, 1], [1, 0]]}))
     assert main(["switch", str(g), str(w)]) == 2
     capsys.readouterr()
+
+
+def test_deeply_nested_documents_are_input_errors(tmp_path, capsys):
+    nested = "[" * 100_000 + "]" * 100_000
+    g = tmp_path / "g.json"
+    g.write_text('{"n": 1, "edges": ' + nested + "}")
+    assert main(["balance", str(g)]) == 2
+    assert capsys.readouterr().err.startswith("error: graph document is not valid JSON: ")
+    main(["gen", "path-all-positive", "3"])
+    g.write_text(capsys.readouterr().out)
+    w = tmp_path / "w.json"
+    w.write_text('{"k": 1, "zeta": ' + nested + "}")
+    assert main(["switch", str(g), str(w)]) == 2
+    assert capsys.readouterr().err.startswith("error: witness document is not valid JSON: ")
 
 
 def test_usage_error_exits_two(capsys):

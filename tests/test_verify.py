@@ -1,7 +1,9 @@
 """The claim engine: selection, determinism, budgets, and self-certifying
 counterexamples."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,6 +16,7 @@ from sgraph import (
     report_record,
     run_claims,
 )
+from sgraph import verify
 from sgraph.verify import CLAIM_IDS
 
 
@@ -98,3 +101,81 @@ def test_format_report_lines():
     (report,) = run_claims(["C10"])
     line = format_report(report)
     assert "C10" in line and "pass" in line and "1 instances" in line
+
+
+# Instance count and sha256 (first 16 hex digits) of json.dumps of the whole
+# payload list of each claim at its default budget, recorded before the claims
+# were folded into shared instance families; payload contents and key order
+# are part of the pinned stream.
+_STREAMS = {
+    0: {
+        "C1": (18, "4aeab2e41939dfe1"),
+        "C2": (25, "e80060574808e990"),
+        "C3": (14, "b54c1e554e1b1865"),
+        "C4": (9, "f45aca9e877422fb"),
+        "C5": (168, "f83bb394b5c4758e"),
+        "C6": (56, "9af838dd00c00847"),
+        "C7": (36, "f59dffd3b3779470"),
+        "C8": (100, "946a2b1743c0f7bf"),
+        "C9": (24, "9fd7303138b026df"),
+        "C10": (1, "fcb62bb1222804a6"),
+        "C11": (20, "c4094828a5775c24"),
+        "C12": (100, "0f2ebf342466dc48"),
+        "C13": (20, "3fd2e9fa43a0c819"),
+        "C14": (12, "27f4c0f9db30bbb3"),
+        "C15": (196, "4946fc830a46abb7"),
+        "C16": (18, "2687917493666e13"),
+        "C17": (100, "a8c1e1c43f1a1a21"),
+        "C18": (12, "462ca113b0d98fda"),
+        "C19": (5, "6c221ebee6d1b11e"),
+    },
+    1: {
+        "C1": (18, "c14a271f21233ef1"),
+        "C2": (25, "e80060574808e990"),
+        "C3": (14, "b54c1e554e1b1865"),
+        "C4": (9, "924f7ec12610b12c"),
+        "C5": (168, "f83bb394b5c4758e"),
+        "C6": (56, "9af838dd00c00847"),
+        "C7": (36, "f59dffd3b3779470"),
+        "C8": (100, "bd39b81f255d55b8"),
+        "C9": (24, "9fd7303138b026df"),
+        "C10": (1, "fcb62bb1222804a6"),
+        "C11": (20, "c4a4c68195493202"),
+        "C12": (100, "12802e266b231a34"),
+        "C13": (20, "7815866393e254aa"),
+        "C14": (12, "e1073dda4ee87048"),
+        "C15": (196, "4946fc830a46abb7"),
+        "C16": (18, "e205e58fb22de28d"),
+        "C17": (100, "541473b9b551c8ff"),
+        "C18": (12, "e71303029ad4727f"),
+        "C19": (5, "6c221ebee6d1b11e"),
+    },
+}
+# sha256 of json.dumps of the report records of a full run, without elapsed
+_RECORDS_DIGEST = "edf908823894f0b0"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(_STREAMS))
+def test_claim_streams_and_records_are_pinned(seed):
+    records = []
+    for report in run_claims(seed=seed):
+        cid = report.claim_id
+        claim = verify._REGISTRY[cid]
+        payloads = list(claim.instances(claim.budget, random.Random(f"{seed}:{cid}")))
+        assert (len(payloads), _digest(payloads)) == _STREAMS[seed][cid], cid
+        record = report_record(report)
+        del record["elapsed"]
+        assert record == {
+            "id": cid,
+            "status": "pass",
+            "instances_checked": len(payloads),
+            "counterexample": None,
+            "description": claim_description(cid),
+        }
+        records.append(record)
+    assert [r["id"] for r in records] == list(CLAIM_IDS)
+    assert _digest(records) == _RECORDS_DIGEST
