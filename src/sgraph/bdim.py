@@ -13,7 +13,7 @@ They must agree wherever both run; tests enforce this.
 import functools
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import or_
+from operator import mul, or_
 
 from .core import (
     SignedGraph,
@@ -67,7 +67,7 @@ def inner_sign(a, b) -> int:
     """Sign of the standard inner product of two switching vectors."""
     if len(a) != len(b):
         raise DimensionMismatchError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sgn(sum(x * y for x, y in zip(a, b)))
+    return sgn(sum(map(mul, a, b)))
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,17 @@ class KSwitching:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DimensionMismatchError(f"dimension must be >= 1, got {self.k}")
+        k = self.k
+        if k < 1:
+            raise DimensionMismatchError(f"dimension must be >= 1, got {k}")
         for i, vec in enumerate(self.vectors):
-            if len(vec) != self.k:
+            if len(vec) == k and all(map(OMEGA.__contains__, vec)):
+                continue
+            if len(vec) != k:
                 raise DimensionMismatchError(
-                    f"vector at vertex {i} has length {len(vec)}, expected {self.k}"
+                    f"vector at vertex {i} has length {len(vec)}, expected {k}"
                 )
-            if any(x not in OMEGA for x in vec):
-                raise InvalidSwitchingError(
-                    f"vector at vertex {i} has entries outside -1/0/1"
-                )
+            raise InvalidSwitchingError(f"vector at vertex {i} has entries outside -1/0/1")
 
     @classmethod
     def from_scalar(cls, zeta) -> "KSwitching":
@@ -99,15 +99,8 @@ class KSwitching:
         """True when no edge of g joins orthogonal vectors."""
         if len(self.vectors) != g.n:
             return False
-        return all(t != 0 for _, _, _, t in _edge_signs(g, self))
-
-
-def _edge_signs(g: SignedGraph, z: KSwitching):
-    """(u, v, s, t) per edge of g: its sign s and the sign t of the inner
-    product of z's vectors at u and v. z must cover g's vertices."""
-    vectors = z.vectors
-    for u, v, s in g.edges:
-        yield u, v, s, inner_sign(vectors[u], vectors[v])
+        vecs = self.vectors
+        return all(sum(map(mul, vecs[u], vecs[v])) for u, v, _ in g.edges)
 
 
 def apply_k_switching(g: SignedGraph, z: KSwitching) -> SignedGraph:
@@ -116,13 +109,15 @@ def apply_k_switching(g: SignedGraph, z: KSwitching) -> SignedGraph:
         raise InvalidSwitchingError(
             f"switching covers {len(z.vectors)} vertices, graph has {g.n}"
         )
+    vecs = z.vectors
     edges = []
-    for u, v, s, t in _edge_signs(g, z):
+    for u, v, s in g.edges:
+        t = sum(map(mul, vecs[u], vecs[v]))
         if t == 0:
             raise InvalidSwitchingError(
                 f"orthogonal vectors across edge ({u},{v})", edge=(u, v)
             )
-        edges.append((u, v, s * t))
+        edges.append((u, v, s * sgn(t)))
     return SignedGraph(g.n, tuple(edges))
 
 
@@ -130,7 +125,8 @@ def is_k_positive(g: SignedGraph, z: KSwitching) -> bool:
     """True when z is valid for g and switches every edge positive."""
     if len(z.vectors) != g.n:
         return False
-    return all(s * t == 1 for _, _, s, t in _edge_signs(g, z))
+    vecs = z.vectors
+    return all(s * sum(map(mul, vecs[u], vecs[v])) > 0 for u, v, s in g.edges)
 
 
 @dataclass(frozen=True)
@@ -257,7 +253,11 @@ def _search_component(
 
 
 def _cap(g: SignedGraph, max_k: int | None) -> int:
-    return max(len(g.edges) if max_k is None else max_k, 1)
+    if max_k is None:
+        return max(len(g.edges), 1)
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    return max_k
 
 
 def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
@@ -265,27 +265,28 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
 
     A balanced graph is answered at k = 1 by the balance test. Otherwise each
     component with an edge is relabelled in BFS order and searched at
-    k = 1, 2, ... (the k = 1 rung is an exact balance test of the component).
-    Components are solved independently; the result is the maximum over
+    k = 1, 2, ... (the k = 1 rung is an exact balance test of the component),
+    from k = 2 when the balance test's switching leaves a negative edge in
+    it. Components are solved independently; the result is the maximum over
     components and the witness is re-searched at that dimension so all
     vertices carry vectors of the same length. Isolated vertices get the
     canonical vector (1,0,...,0). Raises BdimCapExceededError when no
     dimension up to max_k works. The default, the edge count, is a true cap:
     one private coordinate per edge always yields a positive switching.
     """
-    if max_k is not None and max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    cap = _cap(g, max_k)
     balanced, zeta = is_balanced(g)
     if balanced:
         return BdimResult(1, KSwitching.from_scalar(zeta), g.n)
-    cap = _cap(g, max_k)
+    zeta = g._bfs[1]  # the switching the balance test tried
+    frustrated = {u for u, v, s in g.edges if zeta[u] * s != zeta[v]}
     explored = g.n
     found = []  # (order, subgraph, least k, witness) per non-trivial component
     for order in components(g):
         if len(order) == 1:
             continue
         sub = induced_subgraph(g, order)
-        for k in range(1, cap + 1):
+        for k in range(1 + (not frustrated.isdisjoint(order)), cap + 1):
             vecs, tried = _search_component(sub, k)
             explored += tried
             if vecs is not None:
@@ -364,7 +365,7 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
 def bdim_oracle(g: SignedGraph, max_k: int | None = None) -> int:
     """Least k with a positive switching, by brute enumeration at each k.
 
-    max_k defaults to the edge count, as in bdim_search.
+    max_k defaults to the edge count, as in bdim_search, and must be >= 1.
     """
     cap = _cap(g, max_k)
     for k in range(1, cap + 1):

@@ -55,11 +55,13 @@ class SignedGraph:
             raise GraphError(f"vertex count must be >= 0, got {n}")
         normalized = []
         append = normalized.append
-        for u, v, s in self.edges:
+        for edge in self.edges:
+            u, v, s = edge
             try:
                 if s == 1 or s == -1:
                     if 0 <= u < v < n:
-                        append((u, v, s))
+                        # an exact tuple is immutable and already in form
+                        append(edge if type(edge) is tuple else (u, v, s))
                         continue
                     if 0 <= v < u < n:
                         append((v, u, s))
@@ -75,25 +77,30 @@ class SignedGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[dict[int, int], ...]:
-        # The edges are sorted with u < v, so every dict is filled in
-        # ascending neighbour order: _bfs and neighbors need no sort.
+        """Per vertex, each neighbour mapped to the index of their edge.
+
+        The edges are sorted with u < v, so every dict is filled in
+        ascending neighbour order: _bfs and neighbors need no sort.
+        """
         adj: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for u, v, s in self.edges:
-            adj[u][v] = s
-            adj[v][u] = s
+        for i, (u, v, _) in enumerate(self.edges):
+            adj[u][v] = i
+            adj[v][u] = i
         return tuple(adj)
 
     @cached_property
-    def _bfs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """One BFS pass: the component orders and a spanning-tree switching.
+    def _bfs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+        """One BFS pass: the component orders, a spanning-tree switching and
+        each vertex's tree-edge index (-1 at a root).
 
         Each component is searched from its smallest vertex, neighbours in
         ascending order. The root gets +1 and every other vertex the value of
         its tree parent times the sign of the tree edge, so the switching makes
         every tree edge positive.
         """
-        adj = self._adjacency
+        adj, edges = self._adjacency, self.edges
         zeta = [0] * self.n
+        tree = [-1] * self.n
         orders = []
         for root in range(self.n):
             if zeta[root]:
@@ -103,13 +110,14 @@ class SignedGraph:
             queue = deque(order)
             while queue:
                 u = queue.popleft()
-                for v, s in adj[u].items():
+                for v, i in adj[u].items():
                     if zeta[v] == 0:
-                        zeta[v] = zeta[u] * s
+                        zeta[v] = zeta[u] * edges[i][2]
+                        tree[v] = i
                         order.append(v)
                         queue.append(v)
             orders.append(tuple(order))
-        return tuple(orders), tuple(zeta)
+        return tuple(orders), tuple(zeta), tuple(tree)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(self._adjacency[u])
@@ -119,7 +127,7 @@ class SignedGraph:
 
     def sign(self, u: int, v: int) -> int:
         try:
-            return self._adjacency[u][v]
+            return self.edges[self._adjacency[u][v]][2]
         except (KeyError, IndexError):
             raise GraphError(f"no edge ({u},{v})") from None
 
@@ -289,15 +297,25 @@ def is_antibalanced(g: SignedGraph) -> bool:
 def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """Same underlying graph and related by some scalar switching.
 
-    Graphs with the same sorted vertex pairs have the same adjacency and so
-    the same BFS forest, and each one's spanning-tree switching makes every
-    forest edge positive. So the two are equivalent exactly when their edge
-    pairs agree and the two switched signs agree on every edge.
+    Walking g2's BFS forest in BFS order, g1's signs on the forest edges give
+    g1 a switching that makes those edges positive, as g2's spanning-tree
+    switching does for g2. When the two have the same sorted vertex pairs,
+    the forest is one of g1 too, so they are equivalent exactly when their
+    edge pairs agree and the two switched signs agree on every edge. Only
+    g2 is searched, and not at all once its BFS pass is cached.
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    z1, z2 = g1._bfs[1], g2._bfs[1]
-    for (u, v, s), (x, y, t) in zip(g1.edges, g2.edges):
+    orders, z2, tree = g2._bfs
+    e1 = g1.edges
+    z1 = [1] * g1.n
+    for order in orders:
+        for v in order[1:]:
+            # the tree edge's other end is v's parent, earlier in the order;
+            # on a pair mismatch z1 is meaningless but the check below fails
+            a, b, s = e1[tree[v]]
+            z1[v] = z1[a if b == v else b] * s
+    for (u, v, s), (x, y, t) in zip(e1, g2.edges):
         if u != x or v != y or s * z1[u] * z1[v] != t * z2[u] * z2[v]:
             return False
     return True

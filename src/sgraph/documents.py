@@ -28,20 +28,22 @@ def _load_object(text: str, what: str) -> dict:
 
 
 _SCALARS = {int, float, bool, str, type(None)}
+_ARRAYS = {list, tuple}
 
 
 def _dumps(doc: dict) -> str:
     """Exactly json.dumps(doc, indent=1), through json's C encoder.
 
     json's indented output always runs the pure-Python encoder. A document
-    whose values are scalars, flat lists or lists of non-empty flat lists is
-    encoded compactly instead, with newline separators, and re-indented. An
-    encoded scalar holds no raw newline, so "],\n   [" only ever joins two
-    rows. Any other value falls back to json.dumps(doc, indent=1).
+    whose values are scalars, flat arrays or arrays of non-empty flat arrays
+    (an array being a list or a tuple, which json writes alike) is encoded
+    compactly instead, with newline separators, and re-indented. An encoded
+    scalar holds no raw newline, so "],\n   [" only ever joins two rows. Any
+    other value falls back to json.dumps(doc, indent=1).
     """
     items = []
     for key, value in doc.items():
-        if type(value) is not list:
+        if type(value) not in _ARRAYS:
             if type(value) not in _SCALARS:
                 return json.dumps(doc, indent=1)
             text = json.dumps(value)
@@ -49,7 +51,7 @@ def _dumps(doc: dict) -> str:
             text = "[]"
         elif (kinds := set(map(type, value))) <= _SCALARS:
             text = "[\n  " + json.dumps(value, separators=(",\n  ", ": "))[1:-1] + "\n ]"
-        elif kinds == {list} and all(value) and (
+        elif kinds <= _ARRAYS and all(value) and (
             set(map(type, chain.from_iterable(value))) <= _SCALARS
         ):
             rows = json.dumps(value, separators=(",\n   ", ": "))[2:-2]
@@ -87,12 +89,12 @@ class GraphDocument:
     def to_json(self) -> str:
         doc: dict = {
             "n": self.graph.n,
-            "edges": [[u, v, s] for u, v, s in self.graph.edges],
+            "edges": self.graph.edges,
         }
         if self.name is not None:
             doc["name"] = self.name
         if self.vertex_labels is not None:
-            doc["vertex_labels"] = list(self.vertex_labels)
+            doc["vertex_labels"] = self.vertex_labels
         return _dumps(doc)
 
     @classmethod
@@ -129,7 +131,7 @@ class WitnessDocument:
     def to_json(self) -> str:
         doc = {
             "k": self.switching.k,
-            "zeta": [list(vec) for vec in self.switching.vectors],
+            "zeta": self.switching.vectors,
         }
         return _dumps(doc)
 

@@ -220,3 +220,12 @@ def test_criterion_12_oracle_guard_boundary():
     assert not has_k_positive_bruteforce(unbalanced_cycle(16), 1)
     assert has_k_positive_bruteforce(all_negative_complete(4), 4)
     _report(12, "oracle decides both 3^16-map enumerations at its guard", time.perf_counter() - start, 10.0)
+
+
+def test_criterion_13_all_negative_k7_dimension_seven():
+    start = time.perf_counter()
+    g = all_negative_complete(7)
+    result = bdim_search(g)
+    assert result.dimension == 7
+    assert is_k_positive(g, result.witness)
+    _report(13, "all-negative K7 has dimension 7 with a positive witness", time.perf_counter() - start, 30.0)

@@ -1,5 +1,7 @@
 """Vector switching, the dimension search, and its brute-force cross-check."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -188,6 +190,15 @@ def test_bdim_union_of_balanced_unbalanced_and_isolated_parts():
     with pytest.raises(BdimCapExceededError) as err:
         bdim_search(g, max_k=2)
     assert err.value.max_k == 2
+
+
+@pytest.mark.parametrize("route", [bdim_search, bdim_oracle], ids=["search", "oracle"])
+@pytest.mark.parametrize("max_k", [0, -1])
+def test_caps_below_one_are_rejected_by_both_routes(route, max_k):
+    for g in (null_graph(3), path_graph(3), unbalanced_cycle(3)):
+        with pytest.raises(ValueError, match=rf"^max_k must be >= 1, got {max_k}$") as err:
+            route(g, max_k=max_k)
+        assert type(err.value) is ValueError
 
 
 def test_bdim_cap_one_refuses_unbalanced_graph():
@@ -446,3 +457,37 @@ def test_literature_values_certified_by_clique_bound():
     # exist in dimension 3 but not in dimension 2
     assert helpers.max_pairwise_negative_set(3) == 4
     assert bdim_search(all_negative_complete(4)).dimension == 3
+
+
+PINNED_WITNESS_DIGEST = "bbf9054a093c9d4ab3fbb15067c49540138fb6d9249963fc54524245fb25169b"
+
+
+def _pinned_answers() -> list:
+    """bdim_search's answer on a fixed corpus at the default cap and at caps
+    2 and 3: [dimension, witness vectors], or ["cap", max_k] on a refusal."""
+    rng = random.Random(7)
+    graphs = [sgraph.verify._random_connected(rng, 3 + i % 7) for i in range(300)]
+    graphs += [all_negative_complete(n) for n in range(2, 6)]
+    graphs += [
+        cartesian(unbalanced_cycle(m), unbalanced_cycle(n))
+        for m in (3, 4, 6)
+        for n in (3, 5, 16)
+    ]
+    answers = []
+    for g in graphs:
+        for max_k in (None, 2, 3):
+            try:
+                result = bdim_search(g, max_k=max_k)
+            except BdimCapExceededError as exc:
+                answers.append(["cap", exc.max_k])
+            else:
+                answers.append([result.dimension, result.witness.vectors])
+    return answers
+
+
+def test_witnesses_pinned_on_seeded_corpus():
+    # recorded before the search skipped the k = 1 rung on components that
+    # the whole-graph balance test already showed unbalanced; any change to
+    # a dimension, a lex-least witness or a refusal moves the digest
+    text = json.dumps(_pinned_answers(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESS_DIGEST

@@ -248,7 +248,9 @@ def _pairs_graph(n, pairs):
     return build_graph(n, [(u, v, 1) for u, v in pairs])
 
 
-@pytest.mark.parametrize(
+# Underlying graphs whose signatures are compared pairwise: each entry is a
+# tuple of graphs, and every signature of each is paired with every other.
+SIGNATURE_CORPUS = pytest.mark.parametrize(
     "families",
     [
         (unbalanced_cycle(4),),
@@ -265,14 +267,50 @@ def _pairs_graph(n, pairs):
         (_pairs_graph(4, [(0, 1), (0, 2), (1, 2)]), _pairs_graph(4, [(0, 1), (0, 2), (0, 3)])),
         (_pairs_graph(5, [(0, 1), (2, 3)]), _pairs_graph(5, [(0, 1), (2, 4)])),
         (_pairs_graph(5, [(0, 1), (1, 2), (0, 2)]), _pairs_graph(5, [(0, 1), (1, 2), (3, 4)])),
+        # three forest roots: an isolated vertex first, then an edge and a
+        # triangle
+        (_pairs_graph(6, [(1, 2), (3, 4), (3, 5), (4, 5)]),),
+        # four roots each; the second graph moves one edge past an isolated
+        # vertex, so the forests differ
+        (
+            _pairs_graph(8, [(0, 1), (1, 2), (3, 4), (6, 7)]),
+            _pairs_graph(8, [(0, 1), (1, 2), (3, 4), (5, 7)]),
+        ),
     ],
-    ids=["C4", "K4", "K3+K2+2K1", "P4|star", "C4|paw", "K3+K1|star", "last-pair", "K3|P3+K2"],
+    ids=[
+        "C4", "K4", "K3+K2+2K1", "P4|star", "C4|paw", "K3+K1|star", "last-pair", "K3|P3+K2",
+        "K1+K2+K3", "P3+2K2+K1|moved-K2",
+    ],
 )
+
+
+@SIGNATURE_CORPUS
 def test_switching_equivalence_matches_bruteforce_on_all_pairs(families):
     sigs = [g for family in families for g in helpers.all_signatures(family)]
     for g1 in sigs:
         for g2 in sigs:
             assert is_switching_equivalent(g1, g2) == helpers.brute_switching_equivalent(g1, g2)
+
+
+def _fresh(g: SignedGraph) -> SignedGraph:
+    """An equal graph with no BFS pass cached yet."""
+    return SignedGraph(g.n, g.edges)
+
+
+@SIGNATURE_CORPUS
+def test_switching_equivalence_is_symmetric_with_and_without_cached_forest(families):
+    # the check walks the second graph's BFS forest, running its BFS only
+    # when is_balanced has not cached it, so both orders and both cache
+    # states must agree
+    sigs = [g for family in families for g in helpers.all_signatures(family)]
+    for a in sigs:
+        for b in sigs:
+            forward = is_switching_equivalent(_fresh(a), _fresh(b))
+            assert is_switching_equivalent(_fresh(b), _fresh(a)) == forward
+            searched = _fresh(b)
+            is_balanced(searched)
+            assert is_switching_equivalent(_fresh(a), searched) == forward
+            assert is_switching_equivalent(searched, _fresh(a)) == forward
 
 
 def test_switching_equivalence_criterion_vs_bruteforce_n8():
@@ -383,6 +421,30 @@ def test_signed_graph_matches_single_loop_validation():
         edges = tuple(edges) if rng.random() < 0.8 else edges
         expected = _outcome(lambda: helpers.reference_normalized_edges(n, edges))
         assert _outcome(lambda: SignedGraph(n, edges).edges) == expected, (n, edges)
+
+
+class _Triple(tuple):
+    """A tuple subclass: SignedGraph must store a plain tuple in its place."""
+
+
+def _reversed_pair(edge: tuple) -> tuple:
+    return edge[1::-1] + edge[2:]
+
+
+def test_signed_graph_keeps_edges_and_errors_across_edge_forms():
+    # edges given as lists, as tuples in v < u form or as tuple subclasses
+    # are normalised into new plain tuples, with the same first error
+    rng = random.Random(4242)
+    forms = (tuple, list, _Triple, _reversed_pair)
+    for _ in range(2000):
+        n = rng.choice((0, 1, 2, 3, 4, 6))
+        edges = tuple(
+            rng.choice(forms)(e) if type(e) is tuple else e for e in _fuzz_edges(rng, n)
+        )
+        expected = _outcome(lambda: helpers.reference_normalized_edges(n, edges))
+        assert _outcome(lambda: SignedGraph(n, edges).edges) == expected, (n, edges)
+        if isinstance(expected[0], list):
+            assert {type(e) for e in SignedGraph(n, edges).edges} <= {tuple}
 
 
 def test_signed_graph_reads_an_edge_iterator_once():

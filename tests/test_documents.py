@@ -24,7 +24,7 @@ from sgraph.core import (
     SignError,
     VertexRangeError,
 )
-from sgraph.documents import DocumentError
+from sgraph.documents import DocumentError, _dumps
 from sgraph.products import PRODUCT_KINDS
 
 AWKWARD_TEXT = ('a"b', "back\\slash", "new\nline", "ünïcødé ☃", "],\n   [", "[", "]", "")
@@ -82,6 +82,18 @@ def test_odd_names_and_labels_serialise_as_json_would():
     doc = GraphDocument(null_graph(2), vertex_labels=({1}, "b"))
     with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
         doc.to_json()
+
+
+def test_dumps_writes_tuples_as_json_does():
+    # json writes tuples and lists alike, so documents can hand over the
+    # graph's edge tuples and the switching's vectors as they are
+    for value in (
+        (), ((),), ((), ()), (1, "a", None), ((0, 1, -1), (1, 2, 1)), ((1,), [2, 3]),
+        [(0, 1, 1), [1, 2, -1]], ((1, ()),), (((1,),),), ((True, 0.0), (-1, False)),
+        tuple(AWKWARD_TEXT), tuple((text,) for text in AWKWARD_TEXT),
+    ):
+        for doc in ({"v": value}, {"n": 2, "v": value, "w": ()}):
+            assert _dumps(doc) == json.dumps(doc, indent=1), doc
 
 
 # (document text, error type, message), recorded from the single-loop checks.
