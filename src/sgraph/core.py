@@ -1,7 +1,6 @@
 """Signed graphs: immutable representation, named generators, scalar switching,
 and the balance / antibalance / switching-equivalence decision procedures."""
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -77,16 +76,8 @@ class SignedGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[dict[int, int], ...]:
-        """Per vertex, each neighbour mapped to the index of their edge.
-
-        The edges are sorted with u < v, so every dict is filled in
-        ascending neighbour order: _bfs and neighbors need no sort.
-        """
-        adj: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for i, (u, v, _) in enumerate(self.edges):
-            adj[u][v] = i
-            adj[v][u] = i
-        return tuple(adj)
+        """Per vertex, each neighbour mapped to the index of their edge."""
+        return tuple(_neighbour_maps(self.n, self.edges))
 
     @cached_property
     def _bfs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
@@ -98,7 +89,8 @@ class SignedGraph:
         its tree parent times the sign of the tree edge, so the switching makes
         every tree edge positive.
         """
-        adj, edges = self._adjacency, self.edges
+        edges = self.edges
+        adj = _neighbour_maps(self.n, edges)
         zeta = [0] * self.n
         tree = [-1] * self.n
         orders = []
@@ -107,29 +99,38 @@ class SignedGraph:
                 continue
             zeta[root] = 1
             order = [root]
-            queue = deque(order)
-            while queue:
-                u = queue.popleft()
+            for u in order:
+                zu = zeta[u]
                 for v, i in adj[u].items():
-                    if zeta[v] == 0:
-                        zeta[v] = zeta[u] * edges[i][2]
+                    if not zeta[v]:
+                        zeta[v] = zu * edges[i][2]
                         tree[v] = i
                         order.append(v)
-                        queue.append(v)
             orders.append(tuple(order))
         return tuple(orders), tuple(zeta), tuple(tree)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
+        if not 0 <= u < self.n:
+            raise GraphError(f"vertex {u} outside vertex range 0..{self.n - 1}")
         return tuple(self._adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._adjacency[u]
 
     def sign(self, u: int, v: int) -> int:
-        try:
-            return self.edges[self._adjacency[u][v]][2]
-        except (KeyError, IndexError):
-            raise GraphError(f"no edge ({u},{v})") from None
+        if not self.has_edge(u, v):
+            raise GraphError(f"no edge ({u},{v})")
+        return self.edges[self._adjacency[u][v]][2]
+
+
+def _neighbour_maps(n: int, edges: Sequence[Edge]) -> list[dict[int, int]]:
+    """Per vertex, each neighbour mapped to the index of their edge, in
+    ascending neighbour order because the edges are sorted with u < v."""
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, (u, v, _) in enumerate(edges):
+        adj[u][v] = i
+        adj[v][u] = i
+    return adj
 
 
 def _checked_edge(n: int, u, v, s) -> Edge:
@@ -269,7 +270,7 @@ def apply_switching(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
     if len(zeta) != g.n:
         raise SwitchingError(f"switching covers {len(zeta)} vertices, graph has {g.n}")
     for v, x in enumerate(zeta):
-        if x not in (-1, 1):
+        if type(x) is not int or x not in (-1, 1):
             raise SwitchingError(f"switching value at vertex {v} is {x!r}")
     return SignedGraph(
         g.n, tuple((u, v, s * zeta[u] * zeta[v]) for u, v, s in g.edges)
@@ -290,8 +291,27 @@ def is_balanced(g: SignedGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
 
 
 def is_antibalanced(g: SignedGraph) -> bool:
-    """True when the sign-flipped graph is balanced."""
-    return is_balanced(negate(g))[0]
+    """True when the sign-flipped graph is balanced: when the switching that
+    makes g's BFS forest negative makes every edge negative."""
+    zeta = _forest_switching(g, g.edges, -1)
+    for u, v, s in g.edges:
+        if zeta[u] * s * zeta[v] != -1:
+            return False
+    return True
+
+
+def _forest_switching(g: SignedGraph, edges: Sequence[Edge], sign: int) -> list[int]:
+    """The switching, +1 at each root of g's BFS forest, that gives every
+    forest edge `sign` when it is signed as in `edges` (on g's vertex pairs)."""
+    orders, _, tree = g._bfs
+    zeta = [1] * g.n
+    for order in orders:
+        for v in order[1:]:
+            # the tree edge's other end is v's parent, earlier in the order;
+            # on a pair mismatch zeta is meaningless but the caller's check fails
+            a, b, s = edges[tree[v]]
+            zeta[v] = zeta[a if b == v else b] * s * sign
+    return zeta
 
 
 def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -306,16 +326,9 @@ def is_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    orders, z2, tree = g2._bfs
-    e1 = g1.edges
-    z1 = [1] * g1.n
-    for order in orders:
-        for v in order[1:]:
-            # the tree edge's other end is v's parent, earlier in the order;
-            # on a pair mismatch z1 is meaningless but the check below fails
-            a, b, s = e1[tree[v]]
-            z1[v] = z1[a if b == v else b] * s
-    for (u, v, s), (x, y, t) in zip(e1, g2.edges):
+    z1 = _forest_switching(g2, g1.edges, 1)
+    z2 = g2._bfs[1]
+    for (u, v, s), (x, y, t) in zip(g1.edges, g2.edges):
         if u != x or v != y or s * z1[u] * z1[v] != t * z2[u] * z2[v]:
             return False
     return True

@@ -87,24 +87,27 @@ def _rand_sign(rng: random.Random) -> int:
     return rng.choice((-1, 1))
 
 
-def _random_connected(rng: random.Random, n: int, extra: float = 0.35) -> SignedGraph:
-    """Random connected signed graph: random tree plus extra edges."""
+def _random_pairs(rng: random.Random, n: int) -> dict:
+    """A random tree's pairs plus each other pair with probability 0.35, signed at random."""
     edges = {}
     for v in range(1, n):
         u = rng.randrange(v)
         edges[(u, v)] = _rand_sign(rng)
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < extra:
+            if (u, v) not in edges and rng.random() < 0.35:
                 edges[(u, v)] = _rand_sign(rng)
-    return SignedGraph(n, tuple((u, v, s) for (u, v), s in sorted(edges.items())))
+    return edges
+
+
+def _random_connected(rng: random.Random, n: int) -> SignedGraph:
+    return SignedGraph(n, tuple((u, v, s) for (u, v), s in _random_pairs(rng, n).items()))
 
 
 def _random_balanced_connected(rng: random.Random, n: int) -> SignedGraph:
-    g = _random_connected(rng, n)
-    allpos = SignedGraph(n, tuple((u, v, 1) for u, v, _ in g.edges))
+    pairs = _random_pairs(rng, n)
     zeta = tuple(_rand_sign(rng) for _ in range(n))
-    return apply_switching(allpos, zeta)
+    return SignedGraph(n, tuple((u, v, zeta[u] * zeta[v]) for u, v in pairs))
 
 
 def _signatures(u: SignedGraph) -> Iterator[SignedGraph]:
@@ -145,9 +148,10 @@ def _exceeds(g: SignedGraph, cap: int) -> bool:
 def _signed_pairs(lefts: tuple[str, ...], rights: tuple[str, ...]):
     """Every signature of each named left graph against each named right one."""
     for left, right in iproduct(lefts, rights):
-        for g1 in _signatures(_SMALL[left]):
-            for g2 in _signatures(_SMALL[right]):
-                yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
+        docs2 = [_gdoc(g2) for g2 in _signatures(_SMALL[right])]
+        for doc1 in map(_gdoc, _signatures(_SMALL[left])):
+            for doc2 in docs2:
+                yield {"g1": doc1, "g2": doc2}
 
 
 def _balanced_factor_instances(trials: int, rng: random.Random, period: int):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import deque
 from itertools import product as iproduct
 
 from sgraph import SignedGraph, apply_switching, build_graph
@@ -27,6 +28,36 @@ def brute_balanced(g: SignedGraph) -> bool:
         all(s == 1 for _, _, s in apply_switching(g, zeta).edges)
         for zeta in iproduct((-1, 1), repeat=g.n)
     )
+
+
+def reference_bfs(g: SignedGraph):
+    """The BFS pass by its definition: (component orders, switching, tree-edge
+    index per vertex, -1 at a root).
+
+    Each unvisited vertex in turn roots a search over a deque and sorted
+    neighbour lists; a reached vertex takes its parent's value times the tree
+    edge's sign. Shares no code with sgraph.core.
+    """
+    nbrs = [[] for _ in range(g.n)]
+    for i, (u, v, _) in enumerate(g.edges):
+        nbrs[u].append((v, i))
+        nbrs[v].append((u, i))
+    zeta, tree, orders = [0] * g.n, [-1] * g.n, []
+    for root in range(g.n):
+        if zeta[root]:
+            continue
+        zeta[root] = 1
+        order, queue = [root], deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, i in sorted(nbrs[u]):
+                if not zeta[v]:
+                    zeta[v] = zeta[u] * g.edges[i][2]
+                    tree[v] = i
+                    order.append(v)
+                    queue.append(v)
+        orders.append(tuple(order))
+    return tuple(orders), tuple(zeta), tuple(tree)
 
 
 def brute_switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:

@@ -183,6 +183,32 @@ def test_apply_switching_rejects_bad_input():
         apply_switching(g, (1, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "zeta", [(1.0, 1, -1), (1, -1.0, 1), (True, 1, 1), (1, 1, False), (1, 1, 2)]
+)
+def test_apply_switching_rejects_values_that_are_not_int_signs(zeta):
+    with pytest.raises(SwitchingError, match="switching value at vertex"):
+        apply_switching(path_graph(3), zeta)
+
+
+def test_apply_switching_accepts_int_signs():
+    switched = apply_switching(path_graph(3), (1, 1, -1))
+    assert switched.edges == ((0, 1, 1), (1, 2, -1))
+    assert {type(s) for _, _, s in switched.edges} == {int}
+
+
+@pytest.mark.parametrize("u", [-1, -3, -4, 3, 4])
+def test_vertices_outside_range_have_no_edges(u):
+    g = path_graph(3)
+    assert not g.has_edge(u, 1) and not g.has_edge(1, u)
+    for a, b in ((u, 1), (1, u)):
+        with pytest.raises(GraphError, match=rf"no edge \({a},{b}\)"):
+            g.sign(a, b)
+    with pytest.raises(GraphError, match="outside vertex range 0..2"):
+        g.neighbors(u)
+    assert g.sign(1, 2) == 1 and g.neighbors(1) == (0, 2)
+
+
 def test_is_balanced_examples():
     balanced, witness = is_balanced(all_positive_complete(4))
     assert balanced and witness == (1, 1, 1, 1)
@@ -311,6 +337,29 @@ def test_switching_equivalence_is_symmetric_with_and_without_cached_forest(famil
             is_balanced(searched)
             assert is_switching_equivalent(_fresh(a), searched) == forward
             assert is_switching_equivalent(searched, _fresh(a)) == forward
+
+
+@SIGNATURE_CORPUS
+def test_is_antibalanced_matches_bruteforce_with_and_without_cached_forest(families):
+    for family in families:
+        for g in helpers.all_signatures(family):
+            expected = helpers.brute_balanced(negate(g))
+            assert is_antibalanced(_fresh(g)) == expected
+            searched = _fresh(g)
+            is_balanced(searched)
+            assert is_antibalanced(searched) == expected
+
+
+def test_bfs_pass_matches_reference_bfs():
+    # disconnected graphs with isolated vertices: one root per component,
+    # including a root after a component whose vertices are not contiguous
+    disconnected = [
+        null_graph(3),
+        build_graph(7, [(1, 2, -1), (2, 3, 1), (1, 3, -1), (5, 6, -1)]),
+        build_graph(8, [(6, 7, -1), (0, 5, 1), (2, 5, -1), (3, 4, -1)]),
+    ]
+    for g in helpers.oracle_corpus() + disconnected:
+        assert g._bfs == helpers.reference_bfs(g)
 
 
 def test_switching_equivalence_criterion_vs_bruteforce_n8():
