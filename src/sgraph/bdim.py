@@ -202,8 +202,7 @@ def _search_component(
     trail on backtrack), and the candidate is rejected as soon as one of
     them empties. This cuts only branches without a completion, so the first
     full assignment is the same lex-least one a plain backtracking search
-    finds. At k = 1 the root is fixed to (1,) and every later domain is a
-    singleton, so the search is a linear-time balance test.
+    finds.
     Returns (vectors indexed by vertex, candidates tried).
     """
     cands, neg, pos, root = _sign_masks(k)
@@ -264,10 +263,10 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     """Least k admitting a k-positive switching, with a witness.
 
     A balanced graph is answered at k = 1 by the balance test. Otherwise each
-    component with an edge is relabelled in BFS order and searched at
-    k = 1, 2, ... (the k = 1 rung is an exact balance test of the component),
-    from k = 2 when the balance test's switching leaves a negative edge in
-    it. Components are solved independently; the result is the maximum over
+    component with an edge is relabelled in BFS order. One that the balance
+    test's spanning-forest switching leaves all-positive is balanced and takes
+    k = 1 with no search; every other one is searched at k = 2, 3, ....
+    Components are solved independently; the result is the maximum over
     components and the witness is re-searched at that dimension so all
     vertices carry vectors of the same length. Isolated vertices get the
     canonical vector (1,0,...,0). Raises BdimCapExceededError when no
@@ -286,7 +285,11 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
         if len(order) == 1:
             continue
         sub = induced_subgraph(g, order)
-        for k in range(1 + (not frustrated.isdisjoint(order)), cap + 1):
+        if frustrated.isdisjoint(order):
+            # balanced; another component is not, so its witness comes at dim >= 2
+            found.append((order, sub, 1, None))
+            continue
+        for k in range(2, cap + 1):
             vecs, tried = _search_component(sub, k)
             explored += tried
             if vecs is not None:

@@ -218,8 +218,6 @@ GENERATORS = {
     "null_graph": null_graph,
 }
 
-GENERATOR_KINDS = (*GENERATORS, "signed_custom")
-
 
 def generate(spec: GeneratorSpec) -> SignedGraph:
     """Build the graph described by a GeneratorSpec."""

@@ -120,7 +120,7 @@ class GraphDocument:
             if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
                 raise DocumentError('"vertex_labels" must be a list of strings')
             labels = tuple(labels)
-        graph = SignedGraph(n, tuple(map(tuple, edges)))
+        graph = SignedGraph(n, edges)
         return cls(graph, name, labels)
 
 

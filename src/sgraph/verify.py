@@ -80,40 +80,41 @@ def _gdoc(g: SignedGraph) -> dict:
 
 
 def _gfrom(doc: dict) -> SignedGraph:
-    return build_graph(doc["n"], doc["edges"])
+    return SignedGraph(doc["n"], doc["edges"])
 
 
 def _rand_sign(rng: random.Random) -> int:
     return rng.choice((-1, 1))
 
 
-def _random_pairs(rng: random.Random, n: int) -> dict:
-    """A random tree's pairs plus each other pair with probability 0.35, signed at random."""
-    edges = {}
+def _random_doc(rng: random.Random, n: int, balanced: int = 0) -> dict:
+    """A random tree's pairs plus each other pair with probability 0.35, as a
+    graph document. Each pair draws a random sign; balanced = 1 or -1 then
+    signs every edge balanced * zeta[u] * zeta[v] for a random switching zeta.
+    """
+    signs = {}
     for v in range(1, n):
-        u = rng.randrange(v)
-        edges[(u, v)] = _rand_sign(rng)
+        u = rng.randrange(v)  # drawn before its sign, as the streams expect
+        signs[(u, v)] = _rand_sign(rng)
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < 0.35:
-                edges[(u, v)] = _rand_sign(rng)
-    return edges
+            if (u, v) not in signs and rng.random() < 0.35:
+                signs[(u, v)] = _rand_sign(rng)
+    if balanced:
+        zeta = [_rand_sign(rng) for _ in range(n)]
+        for u, v in signs:
+            signs[(u, v)] = balanced * zeta[u] * zeta[v]
+    return {"n": n, "edges": [[u, v, s] for (u, v), s in sorted(signs.items())]}
 
 
 def _random_connected(rng: random.Random, n: int) -> SignedGraph:
-    return SignedGraph(n, tuple((u, v, s) for (u, v), s in _random_pairs(rng, n).items()))
+    return _gfrom(_random_doc(rng, n))
 
 
-def _random_balanced_connected(rng: random.Random, n: int) -> SignedGraph:
-    pairs = _random_pairs(rng, n)
-    zeta = tuple(_rand_sign(rng) for _ in range(n))
-    return SignedGraph(n, tuple((u, v, zeta[u] * zeta[v]) for u, v in pairs))
-
-
-def _signatures(u: SignedGraph) -> Iterator[SignedGraph]:
-    """Every signature of u's underlying graph."""
+def _signatures(u: SignedGraph) -> Iterator[dict]:
+    """Every signature of u's underlying graph, as a graph document."""
     for signs in iproduct((-1, 1), repeat=len(u.edges)):
-        yield SignedGraph(u.n, tuple((a, b, s) for (a, b, _), s in zip(u.edges, signs)))
+        yield {"n": u.n, "edges": [[a, b, s] for (a, b, _), s in zip(u.edges, signs)]}
 
 
 _SMALL = {
@@ -122,6 +123,8 @@ _SMALL = {
     "C3": unbalanced_cycle(3),
     "C4": unbalanced_cycle(4),
 }
+# C9's all-negative right factors, K2- and -P3
+_NEGATED = (negate(_SMALL["K2"]), negate(_SMALL["P3"]))
 
 
 # one registry for the module: its entries depend only on the order, so a
@@ -148,8 +151,8 @@ def _exceeds(g: SignedGraph, cap: int) -> bool:
 def _signed_pairs(lefts: tuple[str, ...], rights: tuple[str, ...]):
     """Every signature of each named left graph against each named right one."""
     for left, right in iproduct(lefts, rights):
-        docs2 = [_gdoc(g2) for g2 in _signatures(_SMALL[right])]
-        for doc1 in map(_gdoc, _signatures(_SMALL[left])):
+        docs2 = list(_signatures(_SMALL[right]))
+        for doc1 in _signatures(_SMALL[left]):
             for doc2 in docs2:
                 yield {"g1": doc1, "g2": doc2}
 
@@ -157,24 +160,23 @@ def _signed_pairs(lefts: tuple[str, ...], rights: tuple[str, ...]):
 def _balanced_factor_instances(trials: int, rng: random.Random, period: int):
     """Connected g1 against balanced connected g2, g2 on the left when swapped."""
     for t in range(trials):
-        g1 = _random_connected(rng, 2 + t % period)
-        g2 = _random_balanced_connected(rng, 2 + (t // period) % 2)
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2), "swapped": t % 2 == 1}
+        doc1 = _random_doc(rng, 2 + t % period)
+        doc2 = _random_doc(rng, 2 + (t // period) % 2, balanced=1)
+        yield {"g1": doc1, "g2": doc2, "swapped": t % 2 == 1}
 
 
 def _transport_instances(budget: Budget, rng: random.Random):
     for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 3)
-        g2 = _random_connected(rng, 2 + (t // 2) % 2)
-        zeta = tuple(_rand_sign(rng) for _ in range(g1.n))
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2), "zeta": list(zeta)}
+        doc1 = _random_doc(rng, 2 + t % 3)
+        doc2 = _random_doc(rng, 2 + (t // 2) % 2)
+        zeta = [_rand_sign(rng) for _ in range(doc1["n"])]
+        yield {"g1": doc1, "g2": doc2, "zeta": zeta}
 
 
 def _allpos_factor_instances(budget: Budget, rng: random.Random):
     for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 3)
-        g2 = all_positive_complete(2) if t % 2 == 0 else path_graph(3)
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
+        doc1 = _random_doc(rng, 2 + t % 3)
+        yield {"g1": doc1, "g2": _gdoc(_SMALL["P3" if t % 2 else "K2"])}
 
 
 def _left_and_product(kind: str, p: dict) -> tuple[SignedGraph, SignedGraph]:
@@ -254,8 +256,7 @@ def _c3_holds(p: dict) -> bool:
 def _c4_instances(budget: Budget, rng: random.Random):
     for t in range(budget.trials):
         n = 2 + t % 3
-        g = negate(_random_balanced_connected(rng, n))
-        yield {"g": _gdoc(g), "n": n}
+        yield {"g": _random_doc(rng, n, balanced=-1), "n": n}
 
 
 def _c4_holds(p: dict) -> bool:
@@ -282,9 +283,9 @@ def _c6_holds(p: dict) -> bool:
 
 def _c7_instances(budget: Budget, rng: random.Random):
     for name in ("P3", "C3"):
-        for g in _signatures(_SMALL[name]):
+        for doc in _signatures(_SMALL[name]):
             for k in (1, 2, 3):
-                yield {"g": _gdoc(g), "k": k}
+                yield {"g": doc, "k": k}
 
 
 def _c7_holds(p: dict) -> bool:
@@ -296,11 +297,10 @@ def _c7_holds(p: dict) -> bool:
 
 def _c9_instances(budget: Budget, rng: random.Random):
     for name in ("C3", "C4"):
-        for g1 in _signatures(_SMALL[name]):
-            if not is_antibalanced(g1):
-                continue
-            for g2 in (all_negative_complete(2), negate(path_graph(3))):
-                yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
+        for doc1 in _signatures(_SMALL[name]):
+            if is_antibalanced(_gfrom(doc1)):
+                for g2 in _NEGATED:
+                    yield {"g1": doc1, "g2": _gdoc(g2)}
 
 
 def _c9_holds(p: dict) -> bool:
@@ -322,11 +322,10 @@ def _c10_holds(p: dict) -> bool:
 
 def _c14_instances(budget: Budget, rng: random.Random):
     for t in range(budget.trials):
-        g1 = _random_balanced_connected(rng, 2 + t % 2)
+        doc1 = _random_doc(rng, 2 + t % 2, balanced=1)
         n2 = 2 + (t // 2) % 2
-        edges = all_positive_complete(n2).edges
-        g2 = SignedGraph(n2, tuple((u, v, _rand_sign(rng)) for u, v, _ in edges))
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2)}
+        edges = [[u, v, _rand_sign(rng)] for u in range(n2) for v in range(u + 1, n2)]
+        yield {"g1": doc1, "g2": {"n": n2, "edges": edges}}
 
 
 def _c14_holds(p: dict) -> bool:
@@ -365,11 +364,11 @@ def _c16_holds(p: dict) -> bool:
 
 def _c17_instances(budget: Budget, rng: random.Random):
     for t in range(budget.trials):
-        g1 = _random_connected(rng, 2 + t % 2)
-        g2 = _random_connected(rng, 2 + (t // 2) % 2)
-        z1 = tuple(_rand_sign(rng) for _ in range(g1.n))
-        z2 = tuple(_rand_sign(rng) for _ in range(g2.n))
-        yield {"g1": _gdoc(g1), "g2": _gdoc(g2), "z1": list(z1), "z2": list(z2)}
+        doc1 = _random_doc(rng, 2 + t % 2)
+        doc2 = _random_doc(rng, 2 + (t // 2) % 2)
+        z1 = [_rand_sign(rng) for _ in range(doc1["n"])]
+        z2 = [_rand_sign(rng) for _ in range(doc2["n"])]
+        yield {"g1": doc1, "g2": doc2, "z1": z1, "z2": z2}
 
 
 def _c17_holds(p: dict) -> bool:

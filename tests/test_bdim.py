@@ -192,6 +192,31 @@ def test_bdim_union_of_balanced_unbalanced_and_isolated_parts():
     assert err.value.max_k == 2
 
 
+def test_balanced_components_of_unbalanced_graphs_are_not_searched_at_k1(monkeypatch):
+    # the triangle on {0, 3, 5} is balanced: its k = 1 comes from the balance
+    # test's forest, and only the final dimension searches it
+    g = build_graph(
+        7, [(0, 3, -1), (3, 5, 1), (0, 5, -1), (1, 4, -1), (4, 6, -1), (1, 6, -1)]
+    )
+    searched = []
+    search_component = sgraph.bdim._search_component
+
+    def recording(sub, k):
+        searched.append((sub.edges, k))
+        return search_component(sub, k)
+
+    monkeypatch.setattr(sgraph.bdim, "_search_component", recording)
+    assert bdim_search(g).dimension == 3
+    assert all(k >= 2 for _, k in searched)
+    balanced = ((0, 1, -1), (0, 2, -1), (1, 2, 1))
+    assert [k for edges, k in searched if edges == balanced] == [3]
+    searched.clear()
+    with pytest.raises(BdimCapExceededError) as err:
+        bdim_search(g, max_k=1)
+    assert err.value.max_k == 1
+    assert searched == []
+
+
 @pytest.mark.parametrize("route", [bdim_search, bdim_oracle], ids=["search", "oracle"])
 @pytest.mark.parametrize("max_k", [0, -1])
 def test_caps_below_one_are_rejected_by_both_routes(route, max_k):

@@ -179,3 +179,46 @@ def test_claim_streams_and_records_are_pinned(seed):
         records.append(record)
     assert [r["id"] for r in records] == list(CLAIM_IDS)
     assert _digest(records) == _RECORDS_DIGEST
+
+
+def _stream(cid: str, seed: int) -> list[dict]:
+    claim = verify._REGISTRY[cid]
+    return list(claim.instances(claim.budget, random.Random(f"{seed}:{cid}")))
+
+
+def test_instance_families_build_payload_documents_without_graphs(monkeypatch):
+    # payloads are documents from the start; only C9's antibalance filter
+    # builds a graph, one per signature of C3 and C4 (24 per seed)
+    built = []
+    post_init = verify.SignedGraph.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(verify.SignedGraph, "__post_init__", counting)
+    for seed in range(6):
+        for cid in CLAIM_IDS:
+            _stream(cid, seed)
+    assert len(built) <= 144
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_parsed_payloads_recheck(seed):
+    # a counterexample comes back from JSON with list rows
+    for cid in CLAIM_IDS:
+        for payload in _stream(cid, seed):
+            assert recheck_counterexample(cid, json.loads(json.dumps(payload))) is True, cid
+
+
+def test_mutated_payloads_leave_later_streams_unchanged():
+    for cid in CLAIM_IDS:
+        for payload in _stream(cid, 0):
+            for key in ("g", "g1", "g2"):
+                if key in payload:
+                    for row in payload[key]["edges"]:
+                        row[2] = -row[2]
+                    payload[key]["edges"].append([0, 1, 1])
+        payloads = _stream(cid, 0)
+        assert (len(payloads), _digest(payloads)) == _STREAMS[0][cid], cid
+
