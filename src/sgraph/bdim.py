@@ -251,11 +251,18 @@ def _search_component(
             untried[p] = domain[p]
 
 
+def _check_int(name: str, value) -> None:
+    """Reject a dimension or cap that is not an exact int >= 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _cap(g: SignedGraph, max_k: int | None) -> int:
     if max_k is None:
         return max(len(g.edges), 1)
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    _check_int("max_k", max_k)
     return max_k
 
 
@@ -316,14 +323,16 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
 
     Plain enumeration of every one of the 3**(n*k) maps, with no pruning,
     no symmetry reduction and no early exit; the independent cross-check for
-    bdim_search. Each map is one bit: the m = 3**k choices of the last vertex
-    are packed into words, so the accumulator has one axis of size m per
-    other vertex plus a word axis. Every edge is ANDed into every bit in
-    place: an edge at the last vertex as packed rows of its sign table, any
-    other edge as all-zero or all-one words.
+    bdim_search. Each map is one bit. A table holds one byte per map of
+    vertices 0..n-2, and every edge among them is ANDed into every byte in
+    place as its sign table on the two vertices' axes. The m = 3**k choices
+    of the last vertex are packed 8 to a byte into words spanning only its
+    neighbours' axes; its edges are ANDed into them as packed rows, and each
+    byte keeps whether some choice is left. The words are built in blocks of
+    about 256 KiB along one neighbour's axis, so no array of words spans the
+    whole table.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("k", k)
     if 3 ** (g.n * k) > ORACLE_GUARD:
         raise OracleGuardError(
             f"3^({g.n}*{k}) assignments exceed the enumeration guard"
@@ -337,32 +346,35 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
     sig = vecs @ vecs.T
     np.sign(sig, out=sig)
     m = vecs.shape[0]
-    nbytes = next(b for b in (1, 2, 4, 8) if 8 * b >= min(m, 64))
-    word = np.dtype(f"u{nbytes}")
-    nw = -(-m // (8 * nbytes))
-
-    def pack(rows):
-        """Bool rows of length m -> rows of nw words, padding bits clear."""
-        bits = np.packbits(rows, axis=1, bitorder="little")
-        padded = np.zeros((rows.shape[0], nw * nbytes), dtype=np.uint8)
-        padded[:, : bits.shape[1]] = bits
-        return padded.view(word)
-
+    nw = -(-m // 8)  # bytes of one packed row of the last vertex's choices
     last = g.n - 1
-    acc = np.empty((m,) * last + (nw,), dtype=word)
-    acc[...] = pack(np.ones((1, m), dtype=bool))[0]
-    ones = np.iinfo(word).max
+
+    def onto(x, *at):
+        """x with its trailing axes of size m laid on the table axes at."""
+        return x.reshape(x.shape[: -len(at)] + tuple(m if w in at else 1 for w in range(last)))
+
+    # byte b of column j: which of the last vertex's choices 8b..8b+7 fit
+    # the neighbour's choice j
+    near = [(u, onto(np.packbits(sig == s, axis=1, bitorder="little").T, u))
+            for u, v, s in g.edges if v == last]
+    # 1 while the map is left, else 0; with a neighbour, the words write every byte
+    table = (np.empty if near else np.ones)((m,) * last, dtype=np.uint8)
+    if near:
+        (a, head), *rest = near  # blocks run along the first neighbour's axis
+        step = max(1, (1 << 18) // (nw * m ** len(rest)))
+        for i in range(0, m, step):
+            cut = (slice(None),) * a + (slice(i, i + step),)
+            first = head[(slice(None),) + cut]
+            shape = np.broadcast_shapes(first.shape, *(r.shape for _, r in rest))
+            words = np.empty(shape, dtype=np.uint8)
+            words[...] = first
+            for _, row in rest:
+                np.bitwise_and(words, row, out=words)
+            table[cut] = words.any(axis=0)
     for u, v, s in g.edges:
-        shape = [1] * last + [nw]
-        shape[u] = m
-        if v == last:
-            want = pack(sig == s)
-        else:
-            shape[v] = m
-            shape[-1] = 1
-            want = np.where(sig == s, ones, 0).astype(word)
-        np.bitwise_and(acc, want.reshape(shape), out=acc)
-    return bool(acc.any())
+        if v < last:
+            np.bitwise_and(table, onto((sig == s).view(np.uint8), u, v), out=table)
+    return bool(np.count_nonzero(table))
 
 
 def bdim_oracle(g: SignedGraph, max_k: int | None = None) -> int:

@@ -20,7 +20,7 @@ class DuplicateEdgeError(GraphError):
 
 
 class VertexRangeError(GraphError):
-    """Edge endpoint outside 0..n-1."""
+    """Edge endpoint that is not an int in 0..n-1."""
 
 
 class SignError(GraphError):
@@ -57,7 +57,7 @@ class SignedGraph:
         for edge in self.edges:
             u, v, s = edge
             try:
-                if s == 1 or s == -1:
+                if (s == 1 or s == -1) and type(u) is int and type(v) is int:
                     if 0 <= u < v < n:
                         # an exact tuple is immutable and already in form
                         append(edge if type(edge) is tuple else (u, v, s))
@@ -70,7 +70,8 @@ class SignedGraph:
             append(_checked_edge(n, u, v, s))
         normalized.sort()
         for a, b in zip(normalized, normalized[1:]):
-            if a[0] == b[0] and a[1] == b[1]:
+            # sorted neighbours mostly share u, so v settles it sooner
+            if a[1] == b[1] and a[0] == b[0]:
                 raise DuplicateEdgeError(f"duplicate edge ({a[0]},{a[1]})")
         object.__setattr__(self, "edges", tuple(normalized))
 
@@ -138,7 +139,7 @@ def _checked_edge(n: int, u, v, s) -> Edge:
     failure's error; an edge that passes comes back as its u < v triple."""
     if u == v:
         raise LoopEdgeError(f"loop edge at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
+    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
         raise VertexRangeError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
     if s not in (-1, 1):
         raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")

@@ -212,7 +212,7 @@ def reference_normalized_edges(n, edges) -> tuple:
     for u, v, s in edges:
         if u == v:
             raise LoopEdgeError(f"loop edge at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
             raise VertexRangeError(
                 f"edge ({u},{v}) outside vertex range 0..{n - 1}"
             )

@@ -226,6 +226,20 @@ def test_caps_below_one_are_rejected_by_both_routes(route, max_k):
         assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_caps_and_k_must_be_exact_ints(value):
+    g = unbalanced_cycle(4)
+    calls = {
+        "max_k": (lambda: bdim_search(g, max_k=value), lambda: bdim_oracle(g, max_k=value)),
+        "k": (lambda: has_k_positive_bruteforce(g, value),),
+    }
+    for name, routes in calls.items():
+        for route in routes:
+            with pytest.raises(ValueError, match=rf"^{name} must be an int, got {value!r}$") as err:
+                route()
+            assert type(err.value) is ValueError
+
+
 def test_bdim_cap_one_refuses_unbalanced_graph():
     with pytest.raises(BdimCapExceededError) as err:
         bdim_search(unbalanced_cycle(3), max_k=1)
@@ -280,6 +294,14 @@ ORACLE_EDGE_CASES = [
     build_graph(4, [(0, 1, -1), (1, 2, -1), (0, 2, -1)]),
     build_graph(4, [(0, 3, -1), (1, 3, 1), (2, 3, -1)]),
     build_graph(4, [(0, 3, -1), (1, 3, -1), (2, 3, -1), (0, 1, 1)]),
+    # the last vertex sees a strict subset of the others, with an edge among them
+    build_graph(4, [(0, 3, -1), (2, 3, 1), (0, 2, -1), (0, 1, 1)]),
+    build_graph(5, [(0, 4, -1), (2, 4, 1), (3, 4, -1), (0, 2, -1), (1, 3, -1)]),
+    # mixed-sign K4: the last vertex is adjacent to every axis
+    build_graph(4, [(0, 1, 1), (0, 2, -1), (0, 3, -1), (1, 2, -1), (1, 3, 1), (2, 3, -1)]),
+    # an isolated vertex before the last, first or in the middle
+    build_graph(4, [(1, 2, -1), (1, 3, 1), (2, 3, -1)]),
+    build_graph(4, [(0, 1, -1), (0, 3, -1), (1, 3, -1)]),
 ]
 
 
@@ -292,6 +314,30 @@ def test_oracle_matches_pure_python_enumeration():
             assert has_k_positive_bruteforce(g, k) == helpers.brute_k_positive(g, k), (g, k)
             checked.add((g.n, k))
     assert {(2, 4), (2, 5), (5, 2)} <= checked
+
+
+def test_oracle_word_blocks_match_search():
+    # at n = 8, k = 2 a last vertex with six neighbours has its words built
+    # in several blocks along vertex 1's axis, while axis 0 is not its own;
+    # every other graph is signed by a 2-switching, so both answers occur
+    rng = random.Random(8)
+    vectors = [(1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1)]
+    answers = set()
+    for trial in range(4):
+        z = [rng.choice(vectors) for _ in range(7)] + [(1, 0)]
+        pairs = [(u, 7) for u in range(1, 7)]
+        pairs += [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.5]
+        if trial % 2:
+            edges = [(u, v, inner_sign(z[u], z[v])) for u, v in pairs if inner_sign(z[u], z[v])]
+        else:
+            edges = [(u, v, rng.choice((-1, 1))) for u, v in pairs]
+        g = build_graph(8, edges)
+        dim = bdim_search(g).dimension
+        for k in (1, 2):
+            found = has_k_positive_bruteforce(g, k)
+            answers.add(found)
+            assert found == (dim <= k), (g, k)
+    assert answers == {False, True}
 
 
 def test_oracle_on_all_negative_cliques_matches_clique_bound():

@@ -77,6 +77,21 @@ def test_build_rejects_out_of_range_vertex():
         build_graph(2, [(-1, 1, 1)])
 
 
+@pytest.mark.parametrize(
+    "n, edge", [(2, (0.0, 1.0, 1)), (3, (0, 1.5, 1)), (3, (None, 1, 1)), (3, (True, 2, 1))]
+)
+def test_endpoints_must_be_exact_ints(n, edge):
+    u, v, _ = edge
+    with pytest.raises(VertexRangeError, match=rf"^edge \({u},{v}\) outside vertex range 0\.\.{n - 1}$"):
+        SignedGraph(n, (edge,))
+
+
+def test_loop_check_precedes_endpoint_type_and_signs_keep_their_form():
+    with pytest.raises(LoopEdgeError, match="^loop edge at vertex 1.0$"):
+        SignedGraph(3, ((1.0, 1, 1),))
+    assert SignedGraph(2, ((1, 0, True),)).edges == ((0, 1, True),)
+
+
 def test_build_rejects_bad_sign():
     with pytest.raises(SignError):
         build_graph(2, [(0, 1, 0)])
