@@ -2,13 +2,10 @@
 balancing dimension, with a mechanical claim-verification suite."""
 
 from .bdim import (
-    COMPUTED,
-    LITERATURE,
     BdimCapExceededError,
     BdimResult,
     DimensionMismatchError,
     InvalidSwitchingError,
-    KnownBdim,
     KSwitching,
     OracleGuardError,
     apply_k_switching,
@@ -20,7 +17,6 @@ from .bdim import (
 )
 from .core import (
     DuplicateEdgeError,
-    GeneratorSpec,
     GraphError,
     LoopEdgeError,
     NotACycleError,
@@ -35,7 +31,6 @@ from .core import (
     build_graph,
     components,
     cycle_sign,
-    generate,
     induced_subgraph,
     is_all_negative,
     is_all_positive,
@@ -61,7 +56,6 @@ from .products import (
 )
 from .tables import TableParameterError, table_witness
 from .verify import (
-    Budget,
     Claim,
     ClaimReport,
     UnknownClaimError,

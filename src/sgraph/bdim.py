@@ -17,7 +17,6 @@ from operator import mul, or_
 
 from .core import (
     SignedGraph,
-    all_negative_complete,
     components,
     induced_subgraph,
     is_balanced,
@@ -27,9 +26,6 @@ OMEGA = (-1, 0, 1)
 
 # Enumeration ceiling for the brute-force route: at most this many maps per k.
 ORACLE_GUARD = 10**8
-
-LITERATURE = "literature"
-COMPUTED = "computed"
 
 
 class DimensionMismatchError(ValueError):
@@ -388,51 +384,3 @@ def bdim_oracle(g: SignedGraph, max_k: int | None = None) -> int:
             return k
     raise BdimCapExceededError(cap)
 
-
-@dataclass(frozen=True)
-class KnownDimension:
-    dimension: int
-    provenance: str  # LITERATURE or COMPUTED
-
-    def __post_init__(self):
-        if self.provenance not in (LITERATURE, COMPUTED):
-            raise ValueError(f"bad provenance {self.provenance!r}")
-
-
-class KnownBdim:
-    """Registry of known balancing dimensions for graph family instances.
-
-    Keys are (family kind, order). Ships with the two literature values for
-    the all-negative complete family; anything else is computed on demand by
-    bdim_search and recorded with "computed" provenance.
-    """
-
-    def __init__(self):
-        self._values: dict[tuple[str, int], KnownDimension] = {
-            ("antibalanced_complete", 3): KnownDimension(3, LITERATURE),
-            ("antibalanced_complete", 4): KnownDimension(3, LITERATURE),
-        }
-
-    def get(self, kind: str, order: int) -> KnownDimension | None:
-        return self._values.get((kind, order))
-
-    def record(self, kind: str, order: int, dimension: int, provenance: str = COMPUTED):
-        entry = KnownDimension(dimension, provenance)
-        existing = self._values.get((kind, order))
-        if existing is not None and existing.dimension != dimension:
-            raise ValueError(
-                f"conflicting dimension for {kind}({order}): "
-                f"{existing.dimension} vs {dimension}"
-            )
-        self._values[(kind, order)] = existing or entry
-
-    def antibalanced_complete_bdim(self, n: int) -> int:
-        """Dimension of the all-negative complete graph on n vertices."""
-        entry = self._values.get(("antibalanced_complete", n))
-        if entry is None:
-            # the dimension can exceed n (7 already for n = 6), so this relies
-            # on bdim_search's default cap, the edge count
-            dim = bdim_search(all_negative_complete(n)).dimension
-            entry = KnownDimension(dim, COMPUTED)
-            self._values[("antibalanced_complete", n)] = entry
-        return entry.dimension

@@ -21,12 +21,14 @@ from .bdim import (
     is_k_positive,
 )
 from .core import (
-    GeneratorSpec,
     GraphError,
     all_negative_complete,
-    generate,
+    all_positive_complete,
+    antibalanced_complete,
     is_antibalanced,
     is_balanced,
+    null_graph,
+    path_graph,
     unbalanced_cycle,
 )
 from .documents import DocumentError, GraphDocument, WitnessDocument, to_dot
@@ -34,7 +36,6 @@ from .products import PRODUCT_KINDS, pair_labels, product
 from .tables import TableParameterError, table_witness
 from .verify import (
     CLAIM_IDS,
-    Budget,
     UnknownClaimError,
     format_report,
     report_record,
@@ -42,12 +43,12 @@ from .verify import (
 )
 
 FAMILIES = {
-    "all-positive-complete": "all_positive_complete",
-    "all-negative-complete": "all_negative_complete",
-    "antibalanced-complete": "antibalanced_complete",
-    "unbalanced-cycle": "unbalanced_cycle",
-    "path-all-positive": "path",
-    "null-graph": "null_graph",
+    "all-positive-complete": all_positive_complete,
+    "all-negative-complete": all_negative_complete,
+    "antibalanced-complete": antibalanced_complete,
+    "unbalanced-cycle": unbalanced_cycle,
+    "path-all-positive": path_graph,
+    "null-graph": null_graph,
 }
 
 CLI_PRODUCTS = {kind.replace("_", "-"): kind for kind in PRODUCT_KINDS}
@@ -80,12 +81,14 @@ def _load_graph(path: str) -> GraphDocument:
 
 
 def _cmd_gen(args) -> int:
-    kind = FAMILIES.get(args.family)
-    if kind is None:
+    builder = FAMILIES.get(args.family)
+    if builder is None:
         raise InputError(
             f"unknown family {args.family!r}; choose from {', '.join(sorted(FAMILIES))}"
         )
-    graph = generate(GeneratorSpec(kind, args.order))
+    if args.order < 1:
+        raise InputError(f"{args.family} needs order >= 1, got {args.order}")
+    graph = builder(args.order)
     doc = GraphDocument(graph, name=f"{args.family}-{args.order}")
     print(doc.to_json())
     return 0
@@ -171,8 +174,10 @@ def _cmd_verify(args) -> int:
         selection = [cid.strip() for cid in args.claims.split(",") if cid.strip()]
     overrides = None
     if args.trials is not None:
+        if args.trials < 0:
+            raise InputError(f"--trials must be >= 0, got {args.trials}")
         ids = CLAIM_IDS if selection == "all" else selection
-        overrides = {cid: Budget(trials=args.trials) for cid in ids}
+        overrides = dict.fromkeys(ids, args.trials)
     reports = run_claims(selection, seed=args.seed, overrides=overrides)
     for report in reports:
         print(format_report(report))
@@ -232,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the claim suite")
     p.add_argument("--claims", default="all", help="comma-separated ids, or all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None, help="override trial budgets")
+    p.add_argument("--trials", type=int, default=None, help="override trial counts")
     p.add_argument("--json", help="also write machine-readable records here")
     p.set_defaults(handler=_cmd_verify)
 

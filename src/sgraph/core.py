@@ -50,6 +50,8 @@ class SignedGraph:
 
     def __post_init__(self):
         n = self.n
+        if type(n) is not int:
+            raise GraphError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
         normalized = []
@@ -148,23 +150,7 @@ def _checked_edge(n: int, u, v, s) -> Edge:
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> SignedGraph:
     """Validate an edge list of (u, v, sign) triples into a SignedGraph."""
-    edges = []
-    for item in edge_list:
-        u, v, s = item
-        edges.append((int(u), int(v), int(s)))
-    return SignedGraph(n, tuple(edges))
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Recipe for one of the named graph families.
-
-    `order` is the vertex count; `edges` is used only by kind "signed_custom".
-    """
-
-    kind: str
-    order: int = 0
-    edges: tuple[Edge, ...] | None = None
+    return SignedGraph(n, tuple(edge_list))
 
 
 def all_positive_complete(n: int) -> SignedGraph:
@@ -208,28 +194,6 @@ def path_graph(n: int) -> SignedGraph:
 def null_graph(n: int) -> SignedGraph:
     """n vertices, no edges."""
     return SignedGraph(n, ())
-
-
-GENERATORS = {
-    "all_positive_complete": all_positive_complete,
-    "all_negative_complete": all_negative_complete,
-    "antibalanced_complete": antibalanced_complete,
-    "unbalanced_cycle": unbalanced_cycle,
-    "path": path_graph,
-    "null_graph": null_graph,
-}
-
-
-def generate(spec: GeneratorSpec) -> SignedGraph:
-    """Build the graph described by a GeneratorSpec."""
-    if spec.kind == "signed_custom":
-        return build_graph(spec.order, spec.edges or ())
-    builder = GENERATORS.get(spec.kind)
-    if builder is None:
-        raise GraphError(f"unknown generator kind {spec.kind!r}")
-    if spec.order < 1:
-        raise GraphError(f"{spec.kind} needs order >= 1, got {spec.order}")
-    return builder(spec.order)
 
 
 def negate(g: SignedGraph) -> SignedGraph:

@@ -5,10 +5,11 @@ serializable instance payloads. Claims of one theorem shape share one instance
 family and one relation that takes the product kind. A failing claim reports
 the first failing payload, which can be re-checked standalone; a pass means
 only that no counterexample was found among the generated instances at the
-given budget.
+given trial count.
 Runs are deterministic for a fixed seed.
 """
 
+import functools
 import json
 import random
 import time
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator
 
-from .bdim import BdimCapExceededError, KnownBdim, bdim_search, is_k_positive
+from .bdim import BdimCapExceededError, bdim_search, is_k_positive
 from .core import (
     SignedGraph,
     all_negative_complete,
@@ -46,18 +47,11 @@ class UnknownClaimError(ValueError):
 
 
 @dataclass(frozen=True)
-class Budget:
-    """Per-claim size limits. trials=0 skips the claim entirely."""
-
-    trials: int = 100
-
-
-@dataclass(frozen=True)
 class Claim:
     claim_id: str
     description: str
-    budget: Budget
-    instances: Callable[[Budget, random.Random], Iterable[dict]]
+    trials: int  # sizes the random instance families; 0 skips the claim
+    instances: Callable[[int, random.Random], Iterable[dict]]
     holds: Callable[[dict], bool]
 
 
@@ -127,13 +121,16 @@ _SMALL = {
 _NEGATED = (negate(_SMALL["K2"]), negate(_SMALL["P3"]))
 
 
-# one registry for the module: its entries depend only on the order, so a
-# dimension computed once is reused by every later instance and run
-_KNOWN = KnownBdim()
-
-
 def _bdim(g: SignedGraph) -> int:
     return bdim_search(g).dimension
+
+
+# cached for the module: a dimension computed once is reused by every later
+# instance and run; it can exceed n (7 already for n = 6), so this relies on
+# bdim_search's default cap, the edge count
+@functools.cache
+def _clique_bdim(n: int) -> int:
+    return _bdim(all_negative_complete(n))
 
 
 def _exceeds(g: SignedGraph, cap: int) -> bool:
@@ -165,16 +162,16 @@ def _balanced_factor_instances(trials: int, rng: random.Random, period: int):
         yield {"g1": doc1, "g2": doc2, "swapped": t % 2 == 1}
 
 
-def _transport_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
+def _transport_instances(trials: int, rng: random.Random):
+    for t in range(trials):
         doc1 = _random_doc(rng, 2 + t % 3)
         doc2 = _random_doc(rng, 2 + (t // 2) % 2)
         zeta = [_rand_sign(rng) for _ in range(doc1["n"])]
         yield {"g1": doc1, "g2": doc2, "zeta": zeta}
 
 
-def _allpos_factor_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
+def _allpos_factor_instances(trials: int, rng: random.Random):
+    for t in range(trials):
         doc1 = _random_doc(rng, 2 + t % 3)
         yield {"g1": doc1, "g2": _gdoc(_SMALL["P3" if t % 2 else "K2"])}
 
@@ -213,7 +210,7 @@ def _switch_left_factor(kind: str) -> Callable[[dict], bool]:
 # -- claims ------------------------------------------------------------------
 
 
-def _c2_instances(budget: Budget, rng: random.Random):
+def _c2_instances(trials: int, rng: random.Random):
     for m in (3, 4, 5):
         for n in (3, 4, 5):
             expected = 2 if m > 3 and n > 3 else 3
@@ -236,7 +233,7 @@ def _c2_holds(p: dict) -> bool:
     return is_k_positive(prod, table_witness(p["table"], m, n))
 
 
-def _c3_instances(budget: Budget, rng: random.Random):
+def _c3_instances(trials: int, rng: random.Random):
     for m in (2, 3, 4):
         for n in (2, 3, 4):
             yield {"kind": "bdim", "m": m, "n": n}
@@ -248,20 +245,20 @@ def _c3_holds(p: dict) -> bool:
     m, n = p["m"], p["n"]
     prod = cartesian(all_negative_complete(m), all_negative_complete(n))
     if p["kind"] == "bdim":
-        return _bdim(prod) == _KNOWN.antibalanced_complete_bdim(max(m, n))
+        return _bdim(prod) == _clique_bdim(max(m, n))
     base = bdim_search(all_negative_complete(m)).witness
     return is_k_positive(prod, table_witness(5, m, n, base=base))
 
 
-def _c4_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
+def _c4_instances(trials: int, rng: random.Random):
+    for t in range(trials):
         n = 2 + t % 3
         yield {"g": _random_doc(rng, n, balanced=-1), "n": n}
 
 
 def _c4_holds(p: dict) -> bool:
     g, n = _gfrom(p["g"]), p["n"]
-    expected = _KNOWN.antibalanced_complete_bdim(n)
+    expected = _clique_bdim(n)
     return _bdim(cartesian(g, all_negative_complete(n))) == expected
 
 
@@ -271,7 +268,7 @@ def _c5_holds(p: dict) -> bool:
     return is_balanced(hg_lex(g1, g2))[0] == expected
 
 
-def _c6_instances(budget: Budget, rng: random.Random):
+def _c6_instances(trials: int, rng: random.Random):
     for p in _signed_pairs(("K2", "P3", "C3"), ("K2", "P3")):
         if any(s == -1 for _, _, s in p["g2"]["edges"]):
             yield p
@@ -281,7 +278,7 @@ def _c6_holds(p: dict) -> bool:
     return _exceeds(hg_lex(_gfrom(p["g1"]), _gfrom(p["g2"])), 2)
 
 
-def _c7_instances(budget: Budget, rng: random.Random):
+def _c7_instances(trials: int, rng: random.Random):
     for name in ("P3", "C3"):
         for doc in _signatures(_SMALL[name]):
             for k in (1, 2, 3):
@@ -295,7 +292,7 @@ def _c7_holds(p: dict) -> bool:
     return _bdim(hg_lex(nk, g)) == d and _bdim(hg_lex(g, nk)) == d
 
 
-def _c9_instances(budget: Budget, rng: random.Random):
+def _c9_instances(trials: int, rng: random.Random):
     for name in ("C3", "C4"):
         for doc1 in _signatures(_SMALL[name]):
             if is_antibalanced(_gfrom(doc1)):
@@ -307,7 +304,7 @@ def _c9_holds(p: dict) -> bool:
     return is_antibalanced(hg_lex(_gfrom(p["g1"]), _gfrom(p["g2"])))
 
 
-def _c10_instances(budget: Budget, rng: random.Random):
+def _c10_instances(trials: int, rng: random.Random):
     # the next orders, K2-[K3-] and K3-[K2-], are the all-negative complete
     # graph on 6 vertices (dimension 7): about 2 s of search each, too
     # slow for the default suite; larger orders wait for certificates
@@ -317,11 +314,11 @@ def _c10_instances(budget: Budget, rng: random.Random):
 def _c10_holds(p: dict) -> bool:
     m, n = p["m"], p["n"]
     prod = hg_lex(all_negative_complete(m), all_negative_complete(n))
-    return _bdim(prod) == _KNOWN.antibalanced_complete_bdim(m * n)
+    return _bdim(prod) == _clique_bdim(m * n)
 
 
-def _c14_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
+def _c14_instances(trials: int, rng: random.Random):
+    for t in range(trials):
         doc1 = _random_doc(rng, 2 + t % 2, balanced=1)
         n2 = 2 + (t // 2) % 2
         edges = [[u, v, _rand_sign(rng)] for u in range(n2) for v in range(u + 1, n2)]
@@ -340,10 +337,10 @@ def _c15_holds(p: dict) -> bool:
     return is_balanced(tensor(g1, g2))[0] == (both_balanced or both_anti)
 
 
-def _c16_instances(budget: Budget, rng: random.Random):
+def _c16_instances(trials: int, rng: random.Random):
     yield {"kind": "strict"}
     yield {"kind": "equal"}
-    for p in _balanced_factor_instances(budget.trials, rng, 3):
+    for p in _balanced_factor_instances(trials, rng, 3):
         yield {"kind": "bound", **p}
 
 
@@ -362,8 +359,8 @@ def _c16_holds(p: dict) -> bool:
     return _bdim(prod) <= _bdim(g1)
 
 
-def _c17_instances(budget: Budget, rng: random.Random):
-    for t in range(budget.trials):
+def _c17_instances(trials: int, rng: random.Random):
+    for t in range(trials):
         doc1 = _random_doc(rng, 2 + t % 2)
         doc2 = _random_doc(rng, 2 + (t // 2) % 2)
         z1 = [_rand_sign(rng) for _ in range(doc1["n"])]
@@ -378,7 +375,7 @@ def _c17_holds(p: dict) -> bool:
     return is_switching_equivalent(strong(s1, s2), strong(g1, g2))
 
 
-def _c19_instances(budget: Budget, rng: random.Random):
+def _c19_instances(trials: int, rng: random.Random):
     for check in (
         "lex-complete-embeds",
         "tensor-collapse",
@@ -432,8 +429,8 @@ _CLAIMS = (
         "C1",
         "Cartesian product with a balanced factor keeps the unbalanced "
         "factor's balancing dimension",
-        Budget(trials=18),
-        lambda budget, rng: _balanced_factor_instances(budget.trials, rng, 3),
+        18,
+        lambda trials, rng: _balanced_factor_instances(trials, rng, 3),
         _keeps_left_dimension("cartesian"),
     ),
     Claim(
@@ -441,7 +438,7 @@ _CLAIMS = (
         "Cartesian products of one-negative cycles have dimension 2 when "
         "both orders exceed 3, otherwise 3; the tabulated assignments "
         "witness both cases",
-        Budget(trials=1),
+        1,
         _c2_instances,
         _c2_holds,
     ),
@@ -450,7 +447,7 @@ _CLAIMS = (
         "Cartesian products of all-negative complete graphs take the "
         "dimension of the larger factor; the cyclic shift of the larger "
         "factor's witness certifies it",
-        Budget(trials=1),
+        1,
         _c3_instances,
         _c3_holds,
     ),
@@ -458,7 +455,7 @@ _CLAIMS = (
         "C4",
         "An antibalanced graph on n vertices times the all-negative "
         "complete graph on n vertices has that complete graph's dimension",
-        Budget(trials=9),
+        9,
         _c4_instances,
         _c4_holds,
     ),
@@ -466,15 +463,15 @@ _CLAIMS = (
         "C5",
         "First-convention lexicographic product is balanced exactly when "
         "the left factor is balanced and the right factor is all-positive",
-        Budget(trials=1),
-        lambda budget, rng: _signed_pairs(("P3", "C3", "C4"), ("K2", "P3")),
+        1,
+        lambda trials, rng: _signed_pairs(("P3", "C3", "C4"), ("K2", "P3")),
         _c5_holds,
     ),
     Claim(
         "C6",
         "A negative edge in the right factor forces first-convention "
         "lexicographic dimension at least 3",
-        Budget(trials=1),
+        1,
         _c6_instances,
         _c6_holds,
     ),
@@ -482,7 +479,7 @@ _CLAIMS = (
         "C7",
         "Composing with an edgeless graph on either side preserves "
         "balancing dimension",
-        Budget(trials=1),
+        1,
         _c7_instances,
         _c7_holds,
     ),
@@ -490,7 +487,7 @@ _CLAIMS = (
         "C8",
         "Switching the left factor keeps the first-convention "
         "lexicographic product in the same switching class",
-        Budget(trials=100),
+        100,
         _transport_instances,
         _switch_left_factor("hg_lex"),
     ),
@@ -498,7 +495,7 @@ _CLAIMS = (
         "C9",
         "Antibalanced left factor and all-negative right factor give an "
         "antibalanced first-convention lexicographic product",
-        Budget(trials=1),
+        1,
         _c9_instances,
         _c9_holds,
     ),
@@ -506,7 +503,7 @@ _CLAIMS = (
         "C10",
         "All-negative complete factors compose to the all-negative "
         "complete graph on the product order, with matching dimension",
-        Budget(trials=1),
+        1,
         _c10_instances,
         _c10_holds,
     ),
@@ -514,7 +511,7 @@ _CLAIMS = (
         "C11",
         "All-positive right factor preserves the left factor's dimension "
         "under the first-convention lexicographic product",
-        Budget(trials=20),
+        20,
         _allpos_factor_instances,
         _keeps_left_dimension("hg_lex"),
     ),
@@ -522,7 +519,7 @@ _CLAIMS = (
         "C12",
         "Switching the left factor keeps the second-convention "
         "lexicographic product in the same switching class",
-        Budget(trials=100),
+        100,
         _transport_instances,
         _switch_left_factor("bcd_lex"),
     ),
@@ -530,7 +527,7 @@ _CLAIMS = (
         "C13",
         "All-positive right factor preserves the left factor's dimension "
         "under the second-convention lexicographic product",
-        Budget(trials=20),
+        20,
         _allpos_factor_instances,
         _keeps_left_dimension("bcd_lex"),
     ),
@@ -539,7 +536,7 @@ _CLAIMS = (
         "Balanced left factor and complete right factor: the "
         "second-convention lexicographic product takes the right "
         "factor's dimension",
-        Budget(trials=12),
+        12,
         _c14_instances,
         _c14_holds,
     ),
@@ -547,15 +544,15 @@ _CLAIMS = (
         "C15",
         "Tensor product of connected factors is balanced exactly when "
         "both are balanced or both are antibalanced",
-        Budget(trials=1),
-        lambda budget, rng: _signed_pairs(("K2", "P3", "C3"), ("K2", "P3", "C3")),
+        1,
+        lambda trials, rng: _signed_pairs(("K2", "P3", "C3"), ("K2", "P3", "C3")),
         _c15_holds,
     ),
     Claim(
         "C16",
         "Tensor product with a balanced factor never exceeds the other "
         "factor's dimension; both strict drop and equality occur",
-        Budget(trials=16),
+        16,
         _c16_instances,
         _c16_holds,
     ),
@@ -563,7 +560,7 @@ _CLAIMS = (
         "C17",
         "Switching either strong-product factor keeps the product in the "
         "same switching class",
-        Budget(trials=100),
+        100,
         _c17_instances,
         _c17_holds,
     ),
@@ -571,8 +568,8 @@ _CLAIMS = (
         "C18",
         "Strong product with a balanced factor keeps the unbalanced "
         "factor's balancing dimension",
-        Budget(trials=12),
-        lambda budget, rng: _balanced_factor_instances(budget.trials, rng, 2),
+        12,
+        lambda trials, rng: _balanced_factor_instances(trials, rng, 2),
         _keeps_left_dimension("strong"),
     ),
     Claim(
@@ -581,7 +578,7 @@ _CLAIMS = (
         "a dimension-collapsing tensor, a balanced-but-not-antibalanced "
         "strong square, composition-order asymmetry, and the "
         "second-convention antibalance gap",
-        Budget(trials=1),
+        1,
         _c19_instances,
         _c19_holds,
     ),
@@ -600,7 +597,7 @@ def _claim(claim_id: str) -> Claim:
 def run_claims(
     selection: str | Iterable[str] = "all",
     seed: int = 0,
-    overrides: dict[str, Budget] | None = None,
+    overrides: dict[str, int] | None = None,
 ) -> list[ClaimReport]:
     """Run the selected claims and return one report per claim.
 
@@ -615,15 +612,19 @@ def run_claims(
         if unknown:
             raise UnknownClaimError(f"unknown claim ids: {unknown}")
         ids = [cid for cid in _REGISTRY if cid in requested]
+    overrides = overrides or {}
+    negative = {cid: trials for cid, trials in overrides.items() if trials < 0}
+    if negative:
+        raise ValueError(f"trial counts must be >= 0, got {negative}")
     reports = []
     for cid in ids:
         claim = _REGISTRY[cid]
-        budget = (overrides or {}).get(cid, claim.budget)
+        trials = overrides.get(cid, claim.trials)
         start = time.perf_counter()
         checked, counterexample, status = 0, None, SKIPPED
-        if budget.trials != 0:
+        if trials != 0:
             status = PASS
-            for payload in claim.instances(budget, random.Random(f"{seed}:{cid}")):
+            for payload in claim.instances(trials, random.Random(f"{seed}:{cid}")):
                 checked += 1
                 if not claim.holds(payload):
                     counterexample, status = payload, FAIL

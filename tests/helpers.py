@@ -206,6 +206,8 @@ def max_pairwise_negative_set(k: int) -> int:
 def reference_normalized_edges(n, edges) -> tuple:
     """SignedGraph's edge validation as a single checking loop: the sorted
     u < v edges, or the first error, with the library's types and messages."""
+    if type(n) is not int:
+        raise GraphError(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise GraphError(f"vertex count must be >= 0, got {n}")
     normalized = []

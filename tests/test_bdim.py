@@ -13,12 +13,9 @@ import pytest
 import helpers
 import sgraph
 from sgraph import (
-    COMPUTED,
-    LITERATURE,
     BdimCapExceededError,
     DimensionMismatchError,
     InvalidSwitchingError,
-    KnownBdim,
     KSwitching,
     OracleGuardError,
     all_negative_complete,
@@ -492,19 +489,6 @@ def test_import_does_not_load_numpy():
     code = "import sys, sgraph; assert 'numpy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
-
-
-def test_known_bdim_registry():
-    registry = KnownBdim()
-    assert registry.get("antibalanced_complete", 3).dimension == 3
-    assert registry.get("antibalanced_complete", 3).provenance == LITERATURE
-    assert registry.get("antibalanced_complete", 4).provenance == LITERATURE
-    assert registry.antibalanced_complete_bdim(2) == 1
-    assert registry.get("antibalanced_complete", 2).provenance == COMPUTED
-    with pytest.raises(ValueError):
-        registry.record("antibalanced_complete", 3, 4)
-    with pytest.raises(ValueError):
-        registry.record("antibalanced_complete", 9, 5, provenance="guessed")
 
 
 def test_antibalanced_complete_five_needs_dimension_five():

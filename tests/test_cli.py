@@ -22,7 +22,6 @@ from sgraph import (
     unbalanced_cycle,
 )
 from sgraph.cli import FAMILIES, main
-from sgraph.core import GENERATORS
 
 
 def run_cli(args, monkeypatch=None, stdin=""):
@@ -41,10 +40,6 @@ def test_gen_emits_graph_document(capsys):
 def test_gen_unknown_family_is_input_error(capsys):
     assert main(["gen", "moebius", "5"]) == 2
     assert "unknown family" in capsys.readouterr().err
-
-
-def test_families_name_every_generator():
-    assert set(FAMILIES.values()) == set(GENERATORS)
 
 
 @pytest.mark.parametrize(
@@ -69,6 +64,12 @@ def test_gen_all_families(capsys, family, order, edges, negatives):
 def test_gen_bad_order_is_input_error(capsys):
     assert main(["gen", "unbalanced-cycle", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gen_order_zero_is_input_error(capsys, family):
+    assert main(["gen", family, "0"]) == 2
+    assert capsys.readouterr().err == f"error: {family} needs order >= 1, got 0\n"
 
 
 def test_bdim_of_antibalanced_triangle(capsys, monkeypatch):
@@ -277,6 +278,13 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
 def test_verify_trials_override(capsys):
     assert main(["verify", "--claims", "C8", "--trials", "3"]) == 0
     assert "3 instances" in capsys.readouterr().out
+
+
+def test_verify_negative_trials_is_input_error(capsys):
+    assert main(["verify", "--claims", "C8", "--trials", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trials must be >= 0, got -3\n"
+    assert captured.out == ""
 
 
 def test_bdim_oracle_agrees_across_corpus(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import helpers
 from sgraph import (
     DuplicateEdgeError,
-    GeneratorSpec,
     GraphError,
     LoopEdgeError,
     NotACycleError,
@@ -25,7 +24,6 @@ from sgraph import (
     build_graph,
     components,
     cycle_sign,
-    generate,
     induced_subgraph,
     is_antibalanced,
     is_balanced,
@@ -92,6 +90,22 @@ def test_loop_check_precedes_endpoint_type_and_signs_keep_their_form():
     assert SignedGraph(2, ((1, 0, True),)).edges == ((0, 1, True),)
 
 
+@pytest.mark.parametrize(
+    "n, edge, error",
+    [(3, (0, 1.7, 1), VertexRangeError), (3, (0.0, 2, -1), VertexRangeError), (2, (0, 1, 1.5), SignError)],
+)
+def test_build_graph_does_not_truncate_entries(n, edge, error):
+    # entries reach SignedGraph as given, so a float is refused, not truncated
+    with pytest.raises(error):
+        build_graph(n, [edge])
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_vertex_count_must_be_exact_int(n):
+    with pytest.raises(GraphError, match=rf"^vertex count must be an int, got {n!r}$"):
+        SignedGraph(n, ((0, 1, -1),))
+
+
 def test_build_rejects_bad_sign():
     with pytest.raises(SignError):
         build_graph(2, [(0, 1, 0)])
@@ -116,22 +130,9 @@ def test_null_graph_and_path():
     assert path_graph(3).edges == ((0, 1, 1), (1, 2, 1))
 
 
-def test_generate_dispatch():
-    assert generate(GeneratorSpec("antibalanced_complete", 3)) == antibalanced_complete(3)
-    assert generate(GeneratorSpec("unbalanced_cycle", 5)) == unbalanced_cycle(5)
-    custom = generate(
-        GeneratorSpec("signed_custom", 3, edges=((0, 1, -1), (1, 2, 1)))
-    )
-    assert custom == build_graph(3, [(0, 1, -1), (1, 2, 1)])
-
-
-def test_generate_rejects_bad_orders():
-    with pytest.raises(GraphError):
-        generate(GeneratorSpec("path", 0))
-    with pytest.raises(GraphError):
-        generate(GeneratorSpec("unbalanced_cycle", 2))
-    with pytest.raises(GraphError):
-        generate(GeneratorSpec("no_such_family", 3))
+def test_unbalanced_cycle_needs_order_three():
+    with pytest.raises(GraphError, match="^unbalanced_cycle needs order >= 3, got 2$"):
+        unbalanced_cycle(2)
 
 
 def test_negate_examples():

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from sgraph import (
-    Budget,
     UnknownClaimError,
     claim_description,
     format_report,
@@ -67,15 +66,20 @@ def test_runs_are_deterministic_for_a_seed():
 
 
 def test_trials_zero_skips():
-    (report,) = run_claims(["C8"], overrides={"C8": Budget(trials=0)})
+    (report,) = run_claims(["C8"], overrides={"C8": 0})
     assert report.status == "skipped"
     assert report.instances_checked == 0
 
 
 def test_budget_override_limits_trials():
-    (report,) = run_claims(["C8"], overrides={"C8": Budget(trials=5)})
+    (report,) = run_claims(["C8"], overrides={"C8": 5})
     assert report.status == "pass"
     assert report.instances_checked == 5
+
+
+def test_negative_trial_override_is_rejected():
+    with pytest.raises(ValueError, match=r"^trial counts must be >= 0, got \{'C1': -2\}$"):
+        run_claims(["C1"], overrides={"C1": -2})
 
 
 def test_counterexamples_recheck_standalone():
@@ -165,7 +169,7 @@ def test_claim_streams_and_records_are_pinned(seed):
     for report in run_claims(seed=seed):
         cid = report.claim_id
         claim = verify._REGISTRY[cid]
-        payloads = list(claim.instances(claim.budget, random.Random(f"{seed}:{cid}")))
+        payloads = list(claim.instances(claim.trials, random.Random(f"{seed}:{cid}")))
         assert (len(payloads), _digest(payloads)) == _STREAMS[seed][cid], cid
         record = report_record(report)
         del record["elapsed"]
@@ -183,7 +187,7 @@ def test_claim_streams_and_records_are_pinned(seed):
 
 def _stream(cid: str, seed: int) -> list[dict]:
     claim = verify._REGISTRY[cid]
-    return list(claim.instances(claim.budget, random.Random(f"{seed}:{cid}")))
+    return list(claim.instances(claim.trials, random.Random(f"{seed}:{cid}")))
 
 
 def test_instance_families_build_payload_documents_without_graphs(monkeypatch):
