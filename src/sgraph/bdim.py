@@ -75,8 +75,7 @@ class KSwitching:
 
     def __post_init__(self):
         k = self.k
-        if k < 1:
-            raise DimensionMismatchError(f"dimension must be >= 1, got {k}")
+        _check_int("dimension", k, DimensionMismatchError)
         for i, vec in enumerate(self.vectors):
             if len(vec) == k and all(map(OMEGA.__contains__, vec)):
                 continue
@@ -247,12 +246,12 @@ def _search_component(
             untried[p] = domain[p]
 
 
-def _check_int(name: str, value) -> None:
+def _check_int(name: str, value, error: type[ValueError] = ValueError) -> None:
     """Reject a dimension or cap that is not an exact int >= 1."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise error(f"{name} must be an int, got {value!r}")
     if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise error(f"{name} must be >= 1, got {value}")
 
 
 def _cap(g: SignedGraph, max_k: int | None) -> int:
@@ -266,12 +265,12 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     """Least k admitting a k-positive switching, with a witness.
 
     A balanced graph is answered at k = 1 by the balance test. Otherwise each
-    component with an edge is relabelled in BFS order. One that the balance
-    test's spanning-forest switching leaves all-positive is balanced and takes
-    k = 1 with no search; every other one is searched at k = 2, 3, ....
-    Components are solved independently; the result is the maximum over
-    components and the witness is re-searched at that dimension so all
-    vertices carry vectors of the same length. Isolated vertices get the
+    component with an edge is relabelled in BFS order, and each k = 2, 3, ...
+    searches every component in turn; the first that has no k-switching ends
+    the rung. The first k at which every component succeeds is the dimension,
+    and their witnesses at k are the answer. Components left all-positive by
+    the balance test's spanning-forest switching are balanced, so they come
+    last and are searched only at that final k. Isolated vertices get the
     canonical vector (1,0,...,0). Raises BdimCapExceededError when no
     dimension up to max_k works. The default, the edge count, is a true cap:
     one private coordinate per edge always yields a positive switching.
@@ -282,36 +281,23 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
         return BdimResult(1, KSwitching.from_scalar(zeta), g.n)
     zeta = g._bfs[1]  # the switching the balance test tried
     frustrated = {u for u, v, s in g.edges if zeta[u] * s != zeta[v]}
+    orders = sorted(
+        (order for order in components(g) if len(order) > 1), key=frustrated.isdisjoint
+    )
+    subs = [(order, induced_subgraph(g, order)) for order in orders]
     explored = g.n
-    found = []  # (order, subgraph, least k, witness) per non-trivial component
-    for order in components(g):
-        if len(order) == 1:
-            continue
-        sub = induced_subgraph(g, order)
-        if frustrated.isdisjoint(order):
-            # balanced; another component is not, so its witness comes at dim >= 2
-            found.append((order, sub, 1, None))
-            continue
-        for k in range(2, cap + 1):
+    for k in range(2, cap + 1):
+        vectors = [(1,) + (0,) * (k - 1)] * g.n  # kept by isolated vertices
+        for order, sub in subs:
             vecs, tried = _search_component(sub, k)
             explored += tried
-            if vecs is not None:
+            if vecs is None:
                 break
+            for v, vec in zip(order, vecs):
+                vectors[v] = vec
         else:
-            raise BdimCapExceededError(cap)
-        found.append((order, sub, k, vecs))
-    dim = max(k for _, _, k, _ in found)
-    vectors = [(1,) + (0,) * (dim - 1)] * g.n  # kept by isolated vertices
-    for order, sub, k, vecs in found:
-        if k != dim:
-            vecs, tried = _search_component(sub, dim)
-            explored += tried
-            # a lower-dimension witness padded with zeros is always valid at
-            # dim, so the re-search cannot fail
-            assert vecs is not None
-        for v, vec in zip(order, vecs):
-            vectors[v] = vec
-    return BdimResult(dim, KSwitching(dim, tuple(vectors)), explored)
+            return BdimResult(k, KSwitching(k, tuple(vectors)), explored)
+    raise BdimCapExceededError(cap)
 
 
 def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:

@@ -237,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the claim suite")
     p.add_argument("--claims", default="all", help="comma-separated ids, or all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None, help="override trial counts")
+    p.add_argument("--trials", type=int, default=None, help="trial count per claim, 0 skips; "
+                   "only C1, C4, C8, C11, C12, C13, C14, C16, C17 and C18 size their instances by it")
     p.add_argument("--json", help="also write machine-readable records here")
     p.set_defaults(handler=_cmd_verify)
 

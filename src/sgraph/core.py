@@ -303,8 +303,13 @@ def components(g: SignedGraph) -> list[list[int]]:
 
 
 def induced_subgraph(g: SignedGraph, vertices: Sequence[int]) -> SignedGraph:
-    """Subgraph on the given vertices, relabeled 0..len(vertices)-1 in the given order."""
-    relabel = {v: i for i, v in enumerate(vertices)}
+    """Subgraph on the given distinct vertices, relabeled 0..len(vertices)-1 in order."""
+    relabel = {}
+    for i, v in enumerate(vertices):
+        if type(v) is not int or not 0 <= v < g.n:
+            raise VertexRangeError(f"vertex {v!r} outside vertex range 0..{g.n - 1}")
+        if relabel.setdefault(v, i) != i:
+            raise GraphError(f"repeated vertex {v} in induced subgraph")
     edges = tuple(
         (relabel[u], relabel[v], s)
         for u, v, s in g.edges

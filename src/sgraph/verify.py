@@ -601,13 +601,14 @@ def run_claims(
 ) -> list[ClaimReport]:
     """Run the selected claims and return one report per claim.
 
-    Reports come back in registry (claim-id) order regardless of selection
-    order. A fixed seed gives identical instance streams across runs.
+    Selection is "all", one claim id or an iterable of ids. Reports come back
+    in registry (claim-id) order regardless of selection order. A fixed seed
+    gives identical instance streams across runs.
     """
     if selection == "all":
         ids = list(_REGISTRY)
     else:
-        requested = list(selection)
+        requested = [selection] if isinstance(selection, str) else list(selection)
         unknown = [cid for cid in requested if cid not in _REGISTRY]
         if unknown:
             raise UnknownClaimError(f"unknown claim ids: {unknown}")

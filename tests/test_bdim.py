@@ -69,6 +69,13 @@ def test_kswitching_validation():
     assert z.k == 1 and z.vectors == ((1,), (-1,), (1,))
 
 
+@pytest.mark.parametrize("k,vectors", [(True, ((1,),)), (2.0, ((1, 0),)), ("2", ())])
+def test_kswitching_dimension_is_an_exact_int(k, vectors):
+    # a bool or float k would write a witness document that reading refuses
+    with pytest.raises(DimensionMismatchError, match=rf"^dimension must be an int, got {k!r}$"):
+        KSwitching(k, vectors)
+
+
 def test_kswitching_validity_for_graph():
     g = path_graph(2)
     assert KSwitching(2, ((1, 0), (1, 1))).is_valid_for(g)
@@ -212,6 +219,21 @@ def test_balanced_components_of_unbalanced_graphs_are_not_searched_at_k1(monkeyp
         bdim_search(g, max_k=1)
     assert err.value.max_k == 1
     assert searched == []
+
+
+def test_one_rung_per_k_ends_at_the_first_component_without_a_switching(monkeypatch):
+    # two copies of K4- (dimension 3): k = 2 stops at the first copy, and
+    # k = 3 searches both once; no component is searched again
+    searched = []
+    search_component = sgraph.bdim._search_component
+
+    def recording(sub, k):
+        searched.append((sub.n, k))
+        return search_component(sub, k)
+
+    monkeypatch.setattr(sgraph.bdim, "_search_component", recording)
+    assert bdim_search(hg_lex(null_graph(2), all_negative_complete(4))).dimension == 3
+    assert searched == [(4, 2), (4, 3), (4, 3)]
 
 
 @pytest.mark.parametrize("route", [bdim_search, bdim_oracle], ids=["search", "oracle"])
@@ -518,8 +540,7 @@ PINNED_WITNESS_DIGEST = "bbf9054a093c9d4ab3fbb15067c49540138fb6d9249963fc5452424
 
 
 def _pinned_answers() -> list:
-    """bdim_search's answer on a fixed corpus at the default cap and at caps
-    2 and 3: [dimension, witness vectors], or ["cap", max_k] on a refusal."""
+    """bdim_search's answers on a fixed corpus of connected graphs."""
     rng = random.Random(7)
     graphs = [sgraph.verify._random_connected(rng, 3 + i % 7) for i in range(300)]
     graphs += [all_negative_complete(n) for n in range(2, 6)]
@@ -528,6 +549,12 @@ def _pinned_answers() -> list:
         for m in (3, 4, 6)
         for n in (3, 5, 16)
     ]
+    return _answers(graphs)
+
+
+def _answers(graphs) -> list:
+    """bdim_search's answer on each graph at the default cap and at caps 2
+    and 3: [dimension, witness vectors], or ["cap", max_k] on a refusal."""
     answers = []
     for g in graphs:
         for max_k in (None, 2, 3):
@@ -546,3 +573,34 @@ def test_witnesses_pinned_on_seeded_corpus():
     # a dimension, a lex-least witness or a refusal moves the digest
     text = json.dumps(_pinned_answers(), separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESS_DIGEST
+
+
+PINNED_UNION_DIGEST = "89d8968db3acf17e587eb6565d5cd9cfd428839f8f78d8b05f1e46b760190190"
+
+
+def _disjoint_union(rng: random.Random, parts, isolated: int):
+    """The parts side by side plus isolated vertices, labels shuffled."""
+    labels = list(range(sum(g.n for g in parts) + isolated))
+    rng.shuffle(labels)
+    edges, base = [], 0
+    for g in parts:
+        edges += [(labels[base + u], labels[base + v], s) for u, v, s in g.edges]
+        base += g.n
+    return build_graph(len(labels), edges)
+
+
+def test_witnesses_pinned_on_seeded_disjoint_unions():
+    # recorded when each component still deepened on its own: balanced,
+    # unbalanced and isolated parts in any label order, so the order in which
+    # components are searched must not move a dimension, a witness or a refusal
+    rng = random.Random(11)
+    graphs = [
+        _disjoint_union(
+            rng,
+            [sgraph.verify._random_connected(rng, rng.randint(2, 7)) for _ in range(2 + i % 3)],
+            i % 3,
+        )
+        for i in range(600)
+    ]
+    text = json.dumps(_answers(graphs), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_UNION_DIGEST

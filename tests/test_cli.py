@@ -22,6 +22,7 @@ from sgraph import (
     unbalanced_cycle,
 )
 from sgraph.cli import FAMILIES, main
+from sgraph.verify import CLAIM_IDS, run_claims
 
 
 def run_cli(args, monkeypatch=None, stdin=""):
@@ -278,6 +279,17 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
 def test_verify_trials_override(capsys):
     assert main(["verify", "--claims", "C8", "--trials", "3"]) == 0
     assert "3 instances" in capsys.readouterr().out
+
+
+def test_trials_help_names_the_claims_sized_by_the_count(capsys):
+    counts = {}
+    for trials in (1, 2):
+        overrides = dict.fromkeys(CLAIM_IDS, trials)
+        counts[trials] = [r.instances_checked for r in run_claims(overrides=overrides)]
+    sized = [cid for cid, a, b in zip(CLAIM_IDS, counts[1], counts[2]) if a != b]
+    assert main(["verify", "--help"]) == 0
+    help_text = capsys.readouterr().out.split("--trials TRIALS")[-1]
+    assert re.findall(r"\bC\d+\b", help_text) == sized
 
 
 def test_verify_negative_trials_is_input_error(capsys):

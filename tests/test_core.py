@@ -434,6 +434,17 @@ def test_induced_subgraph_relabels():
     assert sub == build_graph(3, [(0, 1, 1), (1, 2, -1)])
 
 
+@pytest.mark.parametrize("vertices", [[7], [0, 5], [-1], [True], [1.0], [None]])
+def test_induced_subgraph_rejects_vertices_outside_the_graph(vertices):
+    with pytest.raises(VertexRangeError):
+        induced_subgraph(unbalanced_cycle(5), vertices)
+
+
+def test_induced_subgraph_rejects_repeated_vertices():
+    with pytest.raises(GraphError, match="repeated vertex 0"):
+        induced_subgraph(unbalanced_cycle(3), [0, 0, 1])
+
+
 def test_graphs_are_hashable_values():
     a = unbalanced_cycle(4)
     b = build_graph(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])

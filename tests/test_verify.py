@@ -53,6 +53,13 @@ def test_unknown_claim_id():
         claim_description("nope")
 
 
+def test_a_single_id_string_selects_one_claim():
+    (report,) = run_claims("C2")
+    assert (report.claim_id, report.instances_checked) == ("C2", 25)
+    with pytest.raises(UnknownClaimError, match=r"\['C99'\]"):
+        run_claims("C99")
+
+
 def test_runs_are_deterministic_for_a_seed():
     first = run_claims(["C8", "C17"], seed=42)
     second = run_claims(["C8", "C17"], seed=42)
