@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import mul, or_
 
-from .core import (
-    SignedGraph,
-    components,
-    induced_subgraph,
-    is_balanced,
-)
+from .core import SignedGraph, components, is_balanced
 
 OMEGA = (-1, 0, 1)
 
@@ -182,6 +177,21 @@ def _sign_masks(
     return cands, neg, pos, root
 
 
+@functools.cache
+def _flip_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(zeros, allowed): the bitset of each _sign_masks(k) candidate's zero
+    coordinates (bit j for coordinate j), and for each bitset Z of
+    coordinates, the bitset of candidates with no +1 in Z."""
+    cands = _sign_masks(k)[0]
+    zeros = tuple(sum(1 << j for j, x in enumerate(v) if not x) for v in cands)
+    notplus = [sum(1 << i for i, v in enumerate(cands) if v[j] != 1) for j in range(k)]
+    allowed = [(1 << len(cands)) - 1]
+    for z in range(1, 1 << k):
+        low = z & -z
+        allowed.append(allowed[z ^ low] & notplus[low.bit_length() - 1])
+    return zeros, tuple(allowed)
+
+
 def _search_component(
     g: SignedGraph, k: int
 ) -> tuple[list[tuple[int, ...]] | None, int]:
@@ -198,9 +208,16 @@ def _search_component(
     them empties. This cuts only branches without a completion, so the first
     full assignment is the same lex-least one a plain backtracking search
     finds.
+    A vertex p >= 1 also skips candidates with +1 in a coordinate that is
+    zero on every vertex before it. Flipping that coordinate's sign on all
+    vertices fixes the root's canonical vector and every vector before p,
+    keeps every inner product, so maps a positive assignment to a positive
+    one, and makes p's vector lex-smaller: the lex-least assignment never
+    has such a +1, and the rule cuts nothing a plain search would return.
     Returns (vectors indexed by vertex, candidates tried).
     """
     cands, neg, pos, root = _sign_masks(k)
+    zeros, allowed = _flip_masks(k)
     by_sign = {-1: neg, 1: pos}
     nvert = g.n
     ahead = [[] for _ in range(nvert)]  # (later neighbour, masks) in label order
@@ -211,6 +228,7 @@ def _search_component(
     untried = [0] * nvert  # candidates of the domain not yet tried at p
     untried[0] = root
     marks = [0] * nvert  # trail length when p was reached
+    zero = [(1 << k) - 1] * nvert  # coordinates zero on every vertex before p
     assign = [0] * nvert
     trail: list[tuple[int, int]] = []
     tried = 0
@@ -243,7 +261,8 @@ def _search_component(
             if p == nvert:
                 return [cands[i] for i in assign], tried
             marks[p] = len(trail)
-            untried[p] = domain[p]
+            zero[p] = z = zero[p - 1] & zeros[i]
+            untried[p] = domain[p] & allowed[z]
 
 
 def _check_int(name: str, value, error: type[ValueError] = ValueError) -> None:
@@ -284,7 +303,7 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     orders = sorted(
         (order for order in components(g) if len(order) > 1), key=frustrated.isdisjoint
     )
-    subs = [(order, induced_subgraph(g, order)) for order in orders]
+    subs = list(zip(orders, _component_graphs(g, orders)))
     explored = g.n
     for k in range(2, cap + 1):
         vectors = [(1,) + (0,) * (k - 1)] * g.n  # kept by isolated vertices
@@ -298,6 +317,21 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
         else:
             return BdimResult(k, KSwitching(k, tuple(vectors)), explored)
     raise BdimCapExceededError(cap)
+
+
+def _component_graphs(g: SignedGraph, orders) -> list[SignedGraph]:
+    """induced_subgraph(g, order) for each of the given components of g, from
+    one pass over g's edges instead of one per component."""
+    where = [None] * g.n  # (component, label) of each vertex in orders
+    for c, order in enumerate(orders):
+        for i, v in enumerate(order):
+            where[v] = (c, i)
+    parts = [[] for _ in orders]
+    for u, v, s in g.edges:
+        if where[u]:
+            c, a = where[u]
+            parts[c].append((a, where[v][1], s))
+    return [SignedGraph(len(order), tuple(part)) for order, part in zip(orders, parts)]
 
 
 def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
@@ -323,11 +357,16 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
         return True
     import numpy as np  # the only numpy user; deferred so `import sgraph` stays light
 
-    # inner products lie in [-k, k], and the guard keeps k <= 16: int8 holds them
-    vecs = np.array(list(iproduct(OMEGA, repeat=k)), dtype=np.int8)
-    sig = vecs @ vecs.T
+    # sig[x, y]: the sign of <x, y> over {-1,0,1}^k in lexicographic order,
+    # grown one coordinate at a time: prepending a to x and b to y adds a*b
+    # and moves the entry to block (a, b). Inner products lie in [-k, k],
+    # and the guard keeps k <= 16: int8 holds them.
+    omega = np.array(OMEGA, dtype=np.int8)
+    ab = sig = np.multiply.outer(omega, omega)
+    for _ in range(k - 1):
+        sig = (ab[:, None, :, None] + sig[None, :, None, :]).reshape(3 * len(sig), -1)
     np.sign(sig, out=sig)
-    m = vecs.shape[0]
+    m = len(sig)
     nw = -(-m // 8)  # bytes of one packed row of the last vertex's choices
     last = g.n - 1
 

@@ -248,3 +248,41 @@ def reference_witness_json(doc) -> str:
         "zeta": [list(vec) for vec in doc.switching.vectors],
     }
     return json.dumps(raw, indent=1)
+
+
+def bfs_relabelled(g: SignedGraph) -> SignedGraph:
+    """Connected g with each vertex renamed to its place in reference_bfs's
+    order, so every vertex after 0 has an earlier neighbour."""
+    (order,) = reference_bfs(g)[0]
+    label = {v: i for i, v in enumerate(order)}
+    return build_graph(g.n, [(label[u], label[v], s) for u, v, s in g.edges])
+
+
+def reference_first_switching(g: SignedGraph, k: int):
+    """The first k-positive assignment of plain backtracking, or None.
+
+    g is connected and labelled in BFS order from vertex 0. Vertices are
+    assigned in label order, candidates in lexicographic order (-1 < 0 < 1);
+    the root takes only the vectors (1^t, 0^(k-t)), and each candidate is
+    checked against the edges back to earlier vertices. No forward checking
+    and no symmetry rule: shares no code with sgraph.bdim.
+    """
+    cands = [v for v in iproduct((-1, 0, 1), repeat=k) if any(v)]
+    roots = sorted((1,) * t + (0,) * (k - t) for t in range(1, k + 1))
+    back = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        back[v].append((u, s))
+    vecs = []
+
+    def extend(p):
+        if p == g.n:
+            return True
+        for c in roots if p == 0 else cands:
+            if all(s * sum(a * b for a, b in zip(vecs[u], c)) > 0 for u, s in back[p]):
+                vecs.append(c)
+                if extend(p + 1):
+                    return True
+                vecs.pop()
+        return False
+
+    return list(vecs) if extend(0) else None

@@ -26,8 +26,10 @@ from sgraph import (
     bdim_search,
     build_graph,
     cartesian,
+    components,
     has_k_positive_bruteforce,
     hg_lex,
+    induced_subgraph,
     inner_sign,
     is_balanced,
     is_k_positive,
@@ -604,3 +606,44 @@ def test_witnesses_pinned_on_seeded_disjoint_unions():
     ]
     text = json.dumps(_answers(graphs), separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_UNION_DIGEST
+
+
+def test_search_component_matches_plain_backtracking():
+    # the forward checking and the sign-flip rule cut only branches that
+    # hold no lex-least assignment: a search without either agrees everywhere
+    rng = random.Random(5)
+    graphs = [sgraph.verify._random_connected(rng, 2 + i % 6) for i in range(300)]
+    cases = [(helpers.bfs_relabelled(g), k) for g in graphs for k in (1, 2, 3)]
+    cases += [(all_negative_complete(n), k) for n in (3, 4, 5) for k in (1, 2, 3, 4)]
+    for g, k in cases:
+        vecs, _ = sgraph.bdim._search_component(g, k)
+        assert vecs == helpers.reference_first_switching(g, k), (g, k)
+
+
+def test_sign_flip_rule_prunes_all_negative_k6():
+    # 1,769,581 candidates without the rule
+    assert bdim_search(all_negative_complete(6)).explored <= 400_000
+
+
+def test_component_graphs_equal_induced_subgraphs():
+    rng = random.Random(13)
+    for i in range(100):
+        parts = [sgraph.verify._random_connected(rng, rng.randint(2, 7)) for _ in range(1 + i % 4)]
+        g = _disjoint_union(rng, parts, i % 3)
+        orders = [order for order in components(g) if len(order) > 1]
+        assert sgraph.bdim._component_graphs(g, orders) == [
+            induced_subgraph(g, order) for order in orders
+        ]
+
+
+K8_WITNESS_DIGEST = "64c448da5628c2c291c0a0104e0ee63dcac6c842df51c889a80985aab9b9207e"
+
+
+@pytest.mark.slow
+def test_all_negative_k8_dimension_seven_by_search():
+    # the digest of [dimension, witness vectors] was recorded before the
+    # sign-flip rule, when this search tried 34.6M candidates
+    result = bdim_search(all_negative_complete(8))
+    text = json.dumps([result.dimension, result.witness.vectors], separators=(",", ":"))
+    assert result.dimension == 7
+    assert hashlib.sha256(text.encode()).hexdigest() == K8_WITNESS_DIGEST
