@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import mul, or_
 
-from .core import SignedGraph, components, is_balanced
+from .core import (
+    SignedGraph,
+    components,
+    induced_subgraph,
+    is_balanced,
+)
 
 OMEGA = (-1, 0, 1)
 
@@ -134,13 +139,23 @@ class BdimResult:
 @functools.cache
 def _sign_masks(
     k: int,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], int]:
-    """Candidates for dimension k and their inner-product sign masks.
+) -> tuple[
+    tuple[tuple[int, ...], ...],
+    tuple[int, ...],
+    tuple[int, ...],
+    int,
+    tuple[int, ...],
+    tuple[int, ...],
+]:
+    """Candidates for dimension k and their per-k search tables.
 
-    Returns (cands, neg, pos, root): the nonzero vectors of {-1,0,1}^k in
-    lexicographic order (-1 < 0 < 1); for each candidate j, the bitsets
-    (bit i stands for cands[i]) of candidates whose inner product with it is
-    negative and positive; and the bitset of the root's canonical vectors.
+    Returns (cands, neg, pos, root, zeros, allowed): the nonzero vectors of
+    {-1,0,1}^k in lexicographic order (-1 < 0 < 1); for each candidate j,
+    the bitsets (bit i stands for cands[i]) of candidates whose inner product
+    with it is negative and positive; the bitset of the root's canonical
+    vectors; for each candidate, the bitset of its zero coordinates (bit j for
+    coordinate j); and for each bitset Z of coordinates, the bitset of
+    candidates with no +1 in Z.
     """
     # rows[y][d + j] is the bitset, over all 3^j vectors x of {-1,0,1}^j in
     # lexicographic order, of those with <x, y> = d; prepending a coordinate
@@ -174,22 +189,13 @@ def _sign_masks(
     # permutations and per-coordinate sign flips, which preserve inner products
     index = {v: i for i, v in enumerate(cands)}
     root = sum(1 << index[(1,) * t + (0,) * (k - t)] for t in range(1, k + 1))
-    return cands, neg, pos, root
-
-
-@functools.cache
-def _flip_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(zeros, allowed): the bitset of each _sign_masks(k) candidate's zero
-    coordinates (bit j for coordinate j), and for each bitset Z of
-    coordinates, the bitset of candidates with no +1 in Z."""
-    cands = _sign_masks(k)[0]
     zeros = tuple(sum(1 << j for j, x in enumerate(v) if not x) for v in cands)
     notplus = [sum(1 << i for i, v in enumerate(cands) if v[j] != 1) for j in range(k)]
     allowed = [(1 << len(cands)) - 1]
     for z in range(1, 1 << k):
         low = z & -z
         allowed.append(allowed[z ^ low] & notplus[low.bit_length() - 1])
-    return zeros, tuple(allowed)
+    return cands, neg, pos, root, zeros, tuple(allowed)
 
 
 def _search_component(
@@ -216,8 +222,7 @@ def _search_component(
     has such a +1, and the rule cuts nothing a plain search would return.
     Returns (vectors indexed by vertex, candidates tried).
     """
-    cands, neg, pos, root = _sign_masks(k)
-    zeros, allowed = _flip_masks(k)
+    cands, neg, pos, root, zeros, allowed = _sign_masks(k)
     by_sign = {-1: neg, 1: pos}
     nvert = g.n
     ahead = [[] for _ in range(nvert)]  # (later neighbour, masks) in label order
@@ -303,7 +308,7 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     orders = sorted(
         (order for order in components(g) if len(order) > 1), key=frustrated.isdisjoint
     )
-    subs = list(zip(orders, _component_graphs(g, orders)))
+    subs = [(order, induced_subgraph(g, order)) for order in orders]
     explored = g.n
     for k in range(2, cap + 1):
         vectors = [(1,) + (0,) * (k - 1)] * g.n  # kept by isolated vertices
@@ -317,21 +322,6 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
         else:
             return BdimResult(k, KSwitching(k, tuple(vectors)), explored)
     raise BdimCapExceededError(cap)
-
-
-def _component_graphs(g: SignedGraph, orders) -> list[SignedGraph]:
-    """induced_subgraph(g, order) for each of the given components of g, from
-    one pass over g's edges instead of one per component."""
-    where = [None] * g.n  # (component, label) of each vertex in orders
-    for c, order in enumerate(orders):
-        for i, v in enumerate(order):
-            where[v] = (c, i)
-    parts = [[] for _ in orders]
-    for u, v, s in g.edges:
-        if where[u]:
-            c, a = where[u]
-            parts[c].append((a, where[v][1], s))
-    return [SignedGraph(len(order), tuple(part)) for order, part in zip(orders, parts)]
 
 
 def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:

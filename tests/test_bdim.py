@@ -26,10 +26,8 @@ from sgraph import (
     bdim_search,
     build_graph,
     cartesian,
-    components,
     has_k_positive_bruteforce,
     hg_lex,
-    induced_subgraph,
     inner_sign,
     is_balanced,
     is_k_positive,
@@ -623,17 +621,6 @@ def test_search_component_matches_plain_backtracking():
 def test_sign_flip_rule_prunes_all_negative_k6():
     # 1,769,581 candidates without the rule
     assert bdim_search(all_negative_complete(6)).explored <= 400_000
-
-
-def test_component_graphs_equal_induced_subgraphs():
-    rng = random.Random(13)
-    for i in range(100):
-        parts = [sgraph.verify._random_connected(rng, rng.randint(2, 7)) for _ in range(1 + i % 4)]
-        g = _disjoint_union(rng, parts, i % 3)
-        orders = [order for order in components(g) if len(order) > 1]
-        assert sgraph.bdim._component_graphs(g, orders) == [
-            induced_subgraph(g, order) for order in orders
-        ]
 
 
 K8_WITNESS_DIGEST = "64c448da5628c2c291c0a0104e0ee63dcac6c842df51c889a80985aab9b9207e"
