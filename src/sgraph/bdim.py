@@ -329,10 +329,13 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
 
     Plain enumeration of every one of the 3**(n*k) maps, with no pruning,
     no symmetry reduction and no early exit; the independent cross-check for
-    bdim_search. Each map is one bit. A table holds one byte per map of
-    vertices 0..n-2, and every edge among them is ANDed into every byte in
-    place as its sign table on the two vertices' axes. The m = 3**k choices
-    of the last vertex are packed 8 to a byte into words spanning only its
+    bdim_search. Each map is one bit. With m = 3**k choices per vertex, a
+    table holds one byte per map of vertices 0..n-2, and every edge among
+    them is ANDed into every byte in place as its sign table on the two
+    vertices' axes. An edge that spans just one of the table's last two axes
+    is widened over both when that copy is at most 1/m of the table, so
+    numpy's inner loops run over m*m bytes instead of m. The last vertex's
+    m choices are packed 8 to a byte into words spanning only its
     neighbours' axes; its edges are ANDed into them as packed rows, and each
     byte keeps whether some choice is left. The words are built in blocks of
     about 256 KiB along one neighbour's axis, so no array of words spans the
@@ -364,10 +367,17 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
         """x with its trailing axes of size m laid on the table axes at."""
         return x.reshape(x.shape[: -len(at)] + tuple(m if w in at else 1 for w in range(last)))
 
-    # byte b of column j: which of the last vertex's choices 8b..8b+7 fit
-    # the neighbour's choice j
-    near = [(u, onto(np.packbits(sig == s, axis=1, bitorder="little").T, u))
-            for u, v, s in g.edges if v == last]
+    def packed(s):
+        """Byte b of column j: which of the last vertex's choices 8b..8b+7
+        fit the neighbour's choice j. Packed in blocks of about 256 KiB of
+        sig's rows, so no bool mask as large as sig is ever alive."""
+        out = np.empty((m, nw), dtype=np.uint8)
+        step = max(1, (1 << 18) // m)
+        for i in range(0, m, step):
+            out[i : i + step] = np.packbits(sig[i : i + step] == s, axis=1, bitorder="little")
+        return out.T
+
+    near = [(u, onto(packed(s), u)) for u, v, s in g.edges if v == last]
     # 1 while the map is left, else 0; with a neighbour, the words write every byte
     table = (np.empty if near else np.ones)((m,) * last, dtype=np.uint8)
     if near:
@@ -383,8 +393,17 @@ def has_k_positive_bruteforce(g: SignedGraph, k: int) -> bool:
                 np.bitwise_and(words, row, out=words)
             table[cut] = words.any(axis=0)
     for u, v, s in g.edges:
-        if v < last:
-            np.bitwise_and(table, onto((sig == s).view(np.uint8), u, v), out=table)
+        if v >= last:
+            continue
+        rows, at = (sig == s).view(np.uint8), (u, v)
+        if u < last - 2 <= v and m**4 <= table.size:
+            # spanning one of the last two axes and broadcast over the other
+            # would give numpy inner loops of m bytes; a copy spanning both
+            # (m**3 bytes, at most 1/m of the table) gives loops of m*m
+            wide = np.empty((m, m, m), dtype=np.uint8)
+            wide[...] = rows[:, :, None] if v == last - 2 else rows[:, None, :]
+            rows, at = wide, (u, last - 2, last - 1)
+        np.bitwise_and(table, onto(rows, *at), out=table)
     return bool(np.count_nonzero(table))
 
 

@@ -24,7 +24,7 @@ class VertexRangeError(GraphError):
 
 
 class SignError(GraphError):
-    """Edge sign other than -1 or +1."""
+    """Edge sign other than the exact int -1 or +1."""
 
 
 class SwitchingError(ValueError):
@@ -41,8 +41,8 @@ class SignedGraph:
 
     Edges are normalized on construction: endpoints ordered u < v, stored
     sorted lexicographically. Loops, duplicate pairs, out-of-range endpoints
-    and bad signs are rejected, each with its own error type. Instances are
-    immutable and safe to share.
+    and signs other than the exact ints -1 and +1 are rejected, each with its
+    own error type. Instances are immutable and safe to share.
     """
 
     n: int
@@ -59,7 +59,7 @@ class SignedGraph:
         for edge in self.edges:
             u, v, s = edge
             try:
-                if (s == 1 or s == -1) and type(u) is int and type(v) is int:
+                if (s == 1 or s == -1) and type(u) is int and type(v) is int and type(s) is int:
                     if 0 <= u < v < n:
                         # an exact tuple is immutable and already in form
                         append(edge if type(edge) is tuple else (u, v, s))
@@ -143,7 +143,7 @@ def _checked_edge(n: int, u, v, s) -> Edge:
         raise LoopEdgeError(f"loop edge at vertex {u}")
     if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
         raise VertexRangeError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-    if s not in (-1, 1):
+    if type(s) is not int or s not in (-1, 1):
         raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
     return (u, v, s) if u < v else (v, u, s)
 

@@ -218,7 +218,7 @@ def reference_normalized_edges(n, edges) -> tuple:
             raise VertexRangeError(
                 f"edge ({u},{v}) outside vertex range 0..{n - 1}"
             )
-        if s not in (-1, 1):
+        if type(s) is not int or s not in (-1, 1):
             raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
         normalized.append((u, v, s) if u < v else (v, u, s))
     normalized.sort()

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -321,6 +322,17 @@ ORACLE_EDGE_CASES = [
     # an isolated vertex before the last, first or in the middle
     build_graph(4, [(1, 2, -1), (1, 3, 1), (2, 3, -1)]),
     build_graph(4, [(0, 1, -1), (0, 3, -1), (1, 3, -1)]),
+    # n = 5: an edge spanning one of the table's last two axes, (0,2), (0,3),
+    # (1,2) or (1,3), is ANDed as a copy widened over both, beside (0,1),
+    # broadcast over both, and (2,3), spanning both
+    build_graph(5, [(0, 1, -1), (0, 2, -1), (2, 3, 1), (1, 4, -1), (2, 4, 1)]),
+    build_graph(5, [(0, 1, 1), (0, 3, -1), (2, 3, -1), (1, 4, -1), (3, 4, -1)]),
+    build_graph(5, [(0, 1, -1), (1, 2, 1), (2, 3, -1), (0, 4, 1), (3, 4, -1)]),
+    build_graph(5, [(0, 1, -1), (1, 3, -1), (2, 3, 1), (1, 4, 1), (2, 4, 1)]),
+    # every table-axis edge, with the last vertex isolated and then adjacent to all
+    build_graph(5, [(0, 1, 1), (0, 2, -1), (0, 3, -1), (1, 2, -1), (1, 3, 1), (2, 3, -1)]),
+    build_graph(5, [(0, 1, -1), (0, 2, -1), (0, 3, 1), (1, 2, 1), (1, 3, -1), (2, 3, -1),
+                    (0, 4, -1), (1, 4, -1), (2, 4, 1), (3, 4, -1)]),
 ]
 
 
@@ -357,6 +369,20 @@ def test_oracle_word_blocks_match_search():
             answers.add(found)
             assert found == (dim <= k), (g, k)
     assert answers == {False, True}
+
+
+def test_oracle_peak_at_k8_holds_one_sign_table():
+    # at k = 8 the int8 sign table is 6561 x 6561 bytes (41 MiB); the last
+    # vertex's rows are packed from blocks of it, so no bool mask as large
+    # is alive beside it, which would take the peak past 80 MiB
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert has_k_positive_bruteforce(path_graph(2), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20, peak
 
 
 def test_oracle_on_all_negative_cliques_matches_clique_bound():

@@ -84,10 +84,14 @@ def test_endpoints_must_be_exact_ints(n, edge):
         SignedGraph(n, (edge,))
 
 
-def test_loop_check_precedes_endpoint_type_and_signs_keep_their_form():
+def test_loop_check_precedes_endpoint_type_and_signs_are_exact_ints():
     with pytest.raises(LoopEdgeError, match="^loop edge at vertex 1.0$"):
         SignedGraph(3, ((1.0, 1, 1),))
-    assert SignedGraph(2, ((1, 0, True),)).edges == ((0, 1, True),)
+    # a sign equal to 1 or -1 that is not an int would be written to JSON as
+    # `true` or `1.0`, which no graph document reads back
+    for sign in (True, False, 1.0, -1.0):
+        with pytest.raises(SignError, match=rf"^edge \(1,0\) has sign {sign!r}, expected -1 or \+1$"):
+            SignedGraph(2, ((1, 0, sign),))
 
 
 @pytest.mark.parametrize(

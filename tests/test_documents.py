@@ -42,8 +42,6 @@ def _graph_documents():
     yield GraphDocument(null_graph(0))
     yield GraphDocument(null_graph(0), name="", vertex_labels=())
     yield GraphDocument(null_graph(3), vertex_labels=("a", "b", "c"))
-    yield GraphDocument(SignedGraph(2, ((0, 1, True),)), name="bool sign")
-    yield GraphDocument(SignedGraph(3, ((0, 1, 1.0), (1, 2, -1.0))), name="float signs")
     for text in AWKWARD_TEXT:
         yield GraphDocument(unbalanced_cycle(3), name=text, vertex_labels=(text, "x", text))
 
@@ -62,8 +60,22 @@ def test_graph_documents_match_json_indent_byte_for_byte():
     for doc in _graph_documents():
         text = doc.to_json()
         assert text == helpers.reference_graph_json(doc)
-        if all(type(s) is int for _, _, s in doc.graph.edges):
-            assert GraphDocument.from_json(text) == doc
+        assert GraphDocument.from_json(text) == doc
+
+
+def test_every_sign_a_graph_keeps_reads_back_from_its_document():
+    # a graph keeps only the exact int signs, so each graph document reads
+    # back as written: a bool or float sign would be written as `true` or
+    # `1.0`, which reading refuses
+    kept = []
+    for sign in (True, False, 1.0, -1.0, 0.5, "1", None, 0, 2, 1, -1):
+        try:
+            doc = GraphDocument(SignedGraph(2, ((1, 0, sign),)))
+        except SignError:
+            continue
+        assert GraphDocument.from_json(doc.to_json()) == doc
+        kept.append(sign)
+    assert [(type(s), s) for s in kept] == [(int, 1), (int, -1)]
 
 
 def test_witness_documents_match_json_indent_byte_for_byte():
