@@ -12,7 +12,7 @@ They must agree wherever both run; tests enforce this.
 
 import functools
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from operator import mul, or_
 
 from .core import (
@@ -76,14 +76,28 @@ class KSwitching:
     def __post_init__(self):
         k = self.k
         _check_int("dimension", k, DimensionMismatchError)
-        for i, vec in enumerate(self.vectors):
-            if len(vec) == k and all(map(OMEGA.__contains__, vec)):
-                continue
+        vectors = self.vectors
+        try:
+            distinct = set(vectors)  # a witness repeats a few vectors many times
+        except TypeError:  # list vectors are checked one by one
+            distinct = vectors
+        # entry types are read over every vector, as the set merges (True, 0)
+        # and (1.0, 0) into (1, 0)
+        if (
+            set(map(len, distinct)) <= {k}
+            and all(map(OMEGA.__contains__, chain.from_iterable(distinct)))
+            and set(map(type, chain.from_iterable(vectors))) <= {int}
+        ):
+            return
+        for i, vec in enumerate(vectors):  # name the first bad vector
             if len(vec) != k:
                 raise DimensionMismatchError(
                     f"vector at vertex {i} has length {len(vec)}, expected {k}"
                 )
-            raise InvalidSwitchingError(f"vector at vertex {i} has entries outside -1/0/1")
+            if not all(map(OMEGA.__contains__, vec)):
+                raise InvalidSwitchingError(f"vector at vertex {i} has entries outside -1/0/1")
+            if not set(map(type, vec)) <= {int}:
+                raise InvalidSwitchingError(f"vector at vertex {i} has entries that are not ints")
 
     @classmethod
     def from_scalar(cls, zeta) -> "KSwitching":

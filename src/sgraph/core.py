@@ -2,10 +2,28 @@
 and the balance / antibalance / switching-equivalence decision procedures."""
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Edge = tuple[int, int, int]
+
+
+class _cached:
+    """functools.cached_property without its lock (Python 3.10 and 3.11 take
+    an RLock on each instance's first read): the first read stores the value
+    in the instance __dict__, where every later read finds it as a plain
+    attribute. Two threads may both compute it and store equal values."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
 
 class GraphError(ValueError):
     """Malformed signed graph."""
@@ -77,12 +95,12 @@ class SignedGraph:
                 raise DuplicateEdgeError(f"duplicate edge ({a[0]},{a[1]})")
         object.__setattr__(self, "edges", tuple(normalized))
 
-    @cached_property
+    @_cached
     def _adjacency(self) -> tuple[dict[int, int], ...]:
         """Per vertex, each neighbour mapped to the index of their edge."""
         return tuple(_neighbour_maps(self.n, self.edges))
 
-    @cached_property
+    @_cached
     def _bfs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
         """One BFS pass: the component orders, a spanning-tree switching and
         each vertex's tree-edge index (-1 at a root).

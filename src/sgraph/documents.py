@@ -31,15 +31,17 @@ _SCALARS = {int, float, bool, str, type(None)}
 _ARRAYS = {list, tuple}
 
 
-def _dumps(doc: dict) -> str:
-    """Exactly json.dumps(doc, indent=1), through json's C encoder.
+def _dumps(doc: dict, int_rows: str | None = None) -> str:
+    """Exactly json.dumps(doc, indent=1), without json's pure-Python encoder.
 
     json's indented output always runs the pure-Python encoder. A document
-    whose values are scalars, flat arrays or arrays of non-empty flat arrays
-    (an array being a list or a tuple, which json writes alike) is encoded
-    compactly instead, with newline separators, and re-indented. An encoded
-    scalar holds no raw newline, so "],\n   [" only ever joins two rows. Any
-    other value falls back to json.dumps(doc, indent=1).
+    whose values are scalars, flat arrays or arrays of equal-width rows of
+    exact ints (an array being a list or a tuple, which json writes alike)
+    is written here instead: scalars and flat arrays by json's C encoder
+    with newline separators, and the rows by one `%d` format over their
+    flattened cells, since `%d` writes an exact int as json does. The value
+    under the key `int_rows` is taken to be such rows without a look at its
+    cells. Any other value falls back to json.dumps(doc, indent=1).
     """
     items = []
     for key, value in doc.items():
@@ -49,14 +51,16 @@ def _dumps(doc: dict) -> str:
             text = json.dumps(value)
         elif not value:
             text = "[]"
-        elif (kinds := set(map(type, value))) <= _SCALARS:
-            text = "[\n  " + json.dumps(value, separators=(",\n  ", ": "))[1:-1] + "\n ]"
-        elif kinds <= _ARRAYS and all(value) and (
-            set(map(type, chain.from_iterable(value))) <= _SCALARS
+        elif key == int_rows or (
+            set(map(type, value)) <= _ARRAYS
+            and len(set(map(len, value))) == 1
+            and set(map(type, chain.from_iterable(value))) == {int}
         ):
-            rows = json.dumps(value, separators=(",\n   ", ": "))[2:-2]
-            rows = rows.replace("],\n   [", "\n  ],\n  [\n   ")
-            text = "[\n  [\n   " + rows + "\n  ]\n ]"
+            row = "[\n   " + ",\n   ".join(["%d"] * len(value[0])) + "\n  ]"
+            text = "[\n  " + ",\n  ".join([row] * len(value)) + "\n ]"
+            text %= tuple(chain.from_iterable(value))
+        elif set(map(type, value)) <= _SCALARS:
+            text = "[\n  " + json.dumps(value, separators=(",\n  ", ": "))[1:-1] + "\n ]"
         else:
             return json.dumps(doc, indent=1)
         items.append(json.dumps(key) + ": " + text)
@@ -95,7 +99,8 @@ class GraphDocument:
             doc["name"] = self.name
         if self.vertex_labels is not None:
             doc["vertex_labels"] = self.vertex_labels
-        return _dumps(doc)
+        # a graph's edges are exact-int (u, v, sign) tuples by construction
+        return _dumps(doc, int_rows="edges")
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDocument":
@@ -109,9 +114,17 @@ class GraphDocument:
             raise DocumentError('"n" must be an integer')
         if not isinstance(edges, list):
             raise DocumentError('"edges" must be a list of [u, v, sign] triples')
-        if not _int_rows(edges, 3):
-            bad = next(e for e in edges if not _int_rows([e], 3))
-            raise DocumentError(f"bad edge entry {bad!r}")
+        # SignedGraph takes only exact-int triples, so the rows go to it as
+        # parsed and are looked at only when it refuses them: a bad row is
+        # named at once, and a graph error waits for the name and labels
+        failure = None
+        try:
+            graph = SignedGraph(n, edges)
+        except (TypeError, ValueError) as exc:
+            if not _int_rows(edges, 3):
+                bad = next(e for e in edges if not _int_rows([e], 3))
+                raise DocumentError(f"bad edge entry {bad!r}") from None
+            failure = exc
         name = raw.get("name")
         if name is not None and not isinstance(name, str):
             raise DocumentError('"name" must be a string')
@@ -120,7 +133,8 @@ class GraphDocument:
             if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
                 raise DocumentError('"vertex_labels" must be a list of strings')
             labels = tuple(labels)
-        graph = SignedGraph(n, edges)
+        if failure is not None:
+            raise failure
         return cls(graph, name, labels)
 
 

@@ -77,6 +77,26 @@ def test_kswitching_dimension_is_an_exact_int(k, vectors):
         KSwitching(k, vectors)
 
 
+@pytest.mark.parametrize(
+    "vectors, error, message",
+    [
+        (((1, 0), (True, 0)), InvalidSwitchingError, "vector at vertex 1 has entries that are not ints"),
+        (((1, 0.0), (1, 0), (1, 0.0)), InvalidSwitchingError, "vector at vertex 0 has entries that are not ints"),
+        (((1, 0),) * 5 + ((0, -1.0),), InvalidSwitchingError, "vector at vertex 5 has entries that are not ints"),
+        (([1, 0], [0, False]), InvalidSwitchingError, "vector at vertex 1 has entries that are not ints"),
+        (((1, 0), (1, 0.0), (2, 0)), InvalidSwitchingError, "vector at vertex 1 has entries that are not ints"),
+        (((1, 0), (2, True), (1, 0.0)), InvalidSwitchingError, "vector at vertex 1 has entries outside -1/0/1"),
+        (((1, [0]),), InvalidSwitchingError, "vector at vertex 0 has entries outside -1/0/1"),
+        (((1, 0), (True,), (1, 0)), DimensionMismatchError, "vector at vertex 1 has length 1, expected 2"),
+    ],
+)
+def test_kswitching_entries_are_exact_ints_and_the_first_bad_vertex_is_named(vectors, error, message):
+    # repeated vectors are checked once, but (True, 0) and (1.0, 0) equal (1, 0)
+    with pytest.raises(error) as info:
+        KSwitching(2, vectors)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_kswitching_validity_for_graph():
     g = path_graph(2)
     assert KSwitching(2, ((1, 0), (1, 1))).is_valid_for(g)

@@ -546,3 +546,16 @@ def test_neighbors_ascend_and_components_are_fresh_lists():
         orders[0].append(-1)
         orders.append([])
         assert components(g) == snapshot
+
+
+def test_bfs_and_adjacency_caches_are_plain_attributes_after_first_read():
+    # a non-data descriptor without a lock: the first read stores the value
+    # in the instance __dict__, which every later read finds first
+    g = unbalanced_cycle(5)
+    for name in ("_bfs", "_adjacency"):
+        cache = vars(SignedGraph)[name]
+        assert not hasattr(type(cache), "__set__") and not hasattr(cache, "lock")
+        assert name not in vars(g)
+        first = getattr(g, name)
+        assert vars(g)[name] is first and getattr(g, name) is first
+    assert g == unbalanced_cycle(5) and hash(g) == hash(unbalanced_cycle(5))

@@ -2,12 +2,14 @@
 
 import json
 import random
+from itertools import product as iproduct
 
 import pytest
 
 import helpers
 from sgraph import (
     GraphDocument,
+    InvalidSwitchingError,
     KSwitching,
     SignedGraph,
     WitnessDocument,
@@ -52,7 +54,7 @@ def _witness_documents():
         g = helpers.random_signed_graph(rng, max_n=6)
         yield WitnessDocument(bdim_search(g).witness)
     yield WitnessDocument(KSwitching(1, ()))
-    yield WitnessDocument(KSwitching(2, ((True, 0.0), (-1, False))))
+    yield WitnessDocument(KSwitching(2, ([1, 0], (-1, 0))))
     yield WitnessDocument(KSwitching(3, ((1, 0, -1),)))
 
 
@@ -83,6 +85,24 @@ def test_witness_documents_match_json_indent_byte_for_byte():
         assert doc.to_json() == helpers.reference_witness_json(doc)
 
 
+def test_every_switching_that_constructs_reads_back_from_its_document():
+    # a switching keeps only exact int entries, so each witness document
+    # reads back as written: a bool or float entry would be written as
+    # `true` or `1.0`, which reading refuses
+    entries = (True, False, 1.0, 0.0, -1.0, "1", None, 2, 1, 0, -1)
+    kept = set()
+    for a, b in iproduct(entries, repeat=2):
+        for vectors in (((a, b),), ((1, 0), (a, b)), ((a, b), (0, -1), (a, b)), ([a, b], [0, 1])):
+            try:
+                switching = KSwitching(2, vectors)
+            except InvalidSwitchingError:
+                continue
+            back = WitnessDocument.from_json(WitnessDocument(switching).to_json())
+            assert back.switching == KSwitching(2, tuple(map(tuple, vectors)))
+            kept.update((type(x), x) for x in (a, b))
+    assert kept == {(int, 1), (int, 0), (int, -1)}
+
+
 def test_odd_names_and_labels_serialise_as_json_would():
     # Documents keep whatever the caller passed; only reading one checks types.
     for odd in ({}, (), (1, "a"), {"a": [1]}, [[]], ["a"], 1.5, 7):
@@ -105,6 +125,36 @@ def test_dumps_writes_tuples_as_json_does():
         tuple(AWKWARD_TEXT), tuple((text,) for text in AWKWARD_TEXT),
     ):
         for doc in ({"v": value}, {"n": 2, "v": value, "w": ()}):
+            assert _dumps(doc) == json.dumps(doc, indent=1), doc
+
+
+def _int_row_values():
+    rng = random.Random(17)
+    for width in range(1, 8):
+        for rows in (1, 2, 9):
+            yield tuple(
+                tuple(rng.choice((0, 1, -1, 7, -12, 345, 10**30, -(10**30))) for _ in range(width))
+                for _ in range(rows)
+            )
+    yield [[0, 1, -1], (2, 3, 1)]
+    yield ((-(10**30),),)
+
+
+def test_dumps_writes_equal_width_int_rows_as_json_does():
+    for value in _int_row_values():
+        for doc in ({"v": value}, {"n": 2, "v": value, "name": "a", "w": ("b", "c")}):
+            assert _dumps(doc) == json.dumps(doc, indent=1), doc
+            assert _dumps(doc, int_rows="v") == json.dumps(doc, indent=1), doc
+
+
+def test_dumps_falls_back_on_rows_that_are_not_equal_width_ints():
+    for value in (
+        ((1, 2), (3,)), ((1,), (2, 3)), ((1, 2), ()), ((), ()), ((),), ((1,), [], (2,)),
+        ((0, True),), ((1, 0), (False, 1)), ((1.0, 2),), ((1, 2), (3, -0.0)),
+        ((1, None),), ((1, "2"),), ((1, (2,)),), ((1, 2), 3), ((1, 2), "ab"),
+        ({1: 0}, {2: 0}), ((1, 2), {3: 0, 4: 0}),
+    ):
+        for doc in ({"v": value}, {"n": 2, "v": value, "w": ((1, 2), (3, 4))}):
             assert _dumps(doc) == json.dumps(doc, indent=1), doc
 
 
@@ -142,6 +192,21 @@ MALFORMED = [
     ('{"n": 3, "edges": [[0, 1, 0]]}', SignError, "edge (0,1) has sign 0, expected -1 or +1"),
     ('{"n": 3, "edges": [[0, 1, 1], [1, 0, -1]]}', DuplicateEdgeError, "duplicate edge (0,1)"),
     ('{"n": 3, "edges": [[2, 1, 1], [0, 2, -1], [1, 2, 1]]}', DuplicateEdgeError, "duplicate edge (1,2)"),
+    # more than one fault: a bad row first, then name and labels, then the
+    # graph's own checks, then the label count
+    ('{"n": 3, "edges": [[0, 1, true]], "name": 5}', DocumentError, "bad edge entry [0, 1, True]"),
+    ('{"n": 3, "edges": [[0, 1, 1], "abc"], "name": 5, "vertex_labels": [1]}', DocumentError, "bad edge entry 'abc'"),
+    ('{"n": 2, "edges": [[0, 1, 1], [0, 1]], "name": 5}', DocumentError, "bad edge entry [0, 1]"),
+    ('{"n": 2, "edges": [[0, 5, 1], null], "vertex_labels": ["a", "b"]}', DocumentError, "bad edge entry None"),
+    ('{"n": 3, "edges": [[0, 0, 1]], "vertex_labels": ["a", 1, "c"]}', DocumentError, '"vertex_labels" must be a list of strings'),
+    ('{"n": 3, "edges": [[0, 0, 1]], "name": 5}', DocumentError, '"name" must be a string'),
+    ('{"n": 3, "edges": [[0, 1, 1], [1, 0, 1]], "vertex_labels": "ab"}', DocumentError, '"vertex_labels" must be a list of strings'),
+    ('{"n": 3, "edges": [[0, 0, 1]], "vertex_labels": ["a"]}', LoopEdgeError, "loop edge at vertex 0"),
+    ('{"n": 3, "edges": [[0, 1, 2]], "vertex_labels": ["a"]}', SignError, "edge (0,1) has sign 2, expected -1 or +1"),
+    ('{"n": -1, "edges": [], "name": 5}', DocumentError, '"name" must be a string'),
+    ('{"n": -1, "edges": [], "vertex_labels": ["a"]}', GraphError, "vertex count must be >= 0, got -1"),
+    ('{"n": -1, "edges": [[0, 1]]}', DocumentError, "bad edge entry [0, 1]"),
+    ('{"n": -1, "edges": [[0, 1, 1]]}', GraphError, "vertex count must be >= 0, got -1"),
 ]
 
 
