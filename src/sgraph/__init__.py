@@ -32,7 +32,6 @@ from .core import (
     components,
     cycle_sign,
     induced_subgraph,
-    is_all_negative,
     is_all_positive,
     is_antibalanced,
     is_balanced,

@@ -69,9 +69,10 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write a document to a file, ending it with a newline as printing does."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(text + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 

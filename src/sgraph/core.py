@@ -97,8 +97,13 @@ class SignedGraph:
 
     @_cached
     def _adjacency(self) -> tuple[dict[int, int], ...]:
-        """Per vertex, each neighbour mapped to the index of their edge."""
-        return tuple(_neighbour_maps(self.n, self.edges))
+        """Per vertex, each neighbour mapped to the index of their edge, in
+        ascending neighbour order because the edges are sorted with u < v."""
+        adj = tuple({} for _ in range(self.n))
+        for i, (u, v, _) in enumerate(self.edges):
+            adj[u][v] = i
+            adj[v][u] = i
+        return adj
 
     @_cached
     def _bfs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
@@ -111,7 +116,7 @@ class SignedGraph:
         every tree edge positive.
         """
         edges = self.edges
-        adj = _neighbour_maps(self.n, edges)
+        adj = self._adjacency
         zeta = [0] * self.n
         tree = [-1] * self.n
         orders = []
@@ -142,16 +147,6 @@ class SignedGraph:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u},{v})")
         return self.edges[self._adjacency[u][v]][2]
-
-
-def _neighbour_maps(n: int, edges: Sequence[Edge]) -> list[dict[int, int]]:
-    """Per vertex, each neighbour mapped to the index of their edge, in
-    ascending neighbour order because the edges are sorted with u < v."""
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, (u, v, _) in enumerate(edges):
-        adj[u][v] = i
-        adj[v][u] = i
-    return adj
 
 
 def _checked_edge(n: int, u, v, s) -> Edge:
@@ -221,10 +216,6 @@ def negate(g: SignedGraph) -> SignedGraph:
 
 def is_all_positive(g: SignedGraph) -> bool:
     return all(s == 1 for _, _, s in g.edges)
-
-
-def is_all_negative(g: SignedGraph) -> bool:
-    return all(s == -1 for _, _, s in g.edges)
 
 
 def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
@@ -321,16 +312,22 @@ def components(g: SignedGraph) -> list[list[int]]:
 
 
 def induced_subgraph(g: SignedGraph, vertices: Sequence[int]) -> SignedGraph:
-    """Subgraph on the given distinct vertices, relabeled 0..len(vertices)-1 in order."""
+    """Subgraph on the given distinct vertices, relabeled 0..len(vertices)-1 in order.
+
+    Its edges are read from the given vertices' neighbour maps, so the cost
+    follows their degrees and not the size of g."""
     relabel = {}
     for i, v in enumerate(vertices):
         if type(v) is not int or not 0 <= v < g.n:
             raise VertexRangeError(f"vertex {v!r} outside vertex range 0..{g.n - 1}")
         if relabel.setdefault(v, i) != i:
             raise GraphError(f"repeated vertex {v} in induced subgraph")
-    edges = tuple(
-        (relabel[u], relabel[v], s)
-        for u, v, s in g.edges
-        if u in relabel and v in relabel
+    edges = g.edges
+    adj = g._adjacency
+    sub = tuple(
+        (j, k, edges[i][2])
+        for u, j in relabel.items()
+        for v, i in adj[u].items()
+        if (k := relabel.get(v, -1)) > j  # each edge once, from its lower new label
     )
-    return SignedGraph(len(vertices), edges)
+    return SignedGraph(len(vertices), sub)

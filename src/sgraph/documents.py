@@ -27,44 +27,15 @@ def _load_object(text: str, what: str) -> dict:
     return raw
 
 
-_SCALARS = {int, float, bool, str, type(None)}
-_ARRAYS = {list, tuple}
-
-
-def _dumps(doc: dict, int_rows: str | None = None) -> str:
-    """Exactly json.dumps(doc, indent=1), without json's pure-Python encoder.
-
-    json's indented output always runs the pure-Python encoder. A document
-    whose values are scalars, flat arrays or arrays of equal-width rows of
-    exact ints (an array being a list or a tuple, which json writes alike)
-    is written here instead: scalars and flat arrays by json's C encoder
-    with newline separators, and the rows by one `%d` format over their
-    flattened cells, since `%d` writes an exact int as json does. The value
-    under the key `int_rows` is taken to be such rows without a look at its
-    cells. Any other value falls back to json.dumps(doc, indent=1).
-    """
-    items = []
-    for key, value in doc.items():
-        if type(value) not in _ARRAYS:
-            if type(value) not in _SCALARS:
-                return json.dumps(doc, indent=1)
-            text = json.dumps(value)
-        elif not value:
-            text = "[]"
-        elif key == int_rows or (
-            set(map(type, value)) <= _ARRAYS
-            and len(set(map(len, value))) == 1
-            and set(map(type, chain.from_iterable(value))) == {int}
-        ):
-            row = "[\n   " + ",\n   ".join(["%d"] * len(value[0])) + "\n  ]"
-            text = "[\n  " + ",\n  ".join([row] * len(value)) + "\n ]"
-            text %= tuple(chain.from_iterable(value))
-        elif set(map(type, value)) <= _SCALARS:
-            text = "[\n  " + json.dumps(value, separators=(",\n  ", ": "))[1:-1] + "\n ]"
-        else:
-            return json.dumps(doc, indent=1)
-        items.append(json.dumps(key) + ": " + text)
-    return "{\n " + ",\n ".join(items) + "\n}"
+def _rows_json(rows) -> str:
+    """Equal-width rows of exact ints as json.dumps(doc, indent=1) writes
+    them under a top-level key: one `%d` format over the flattened cells,
+    since `%d` writes an exact int as json does."""
+    if not rows:
+        return "[]"
+    row = "[\n   " + ",\n   ".join(["%d"] * len(rows[0])) + "\n  ]"
+    text = "[\n  " + ",\n  ".join([row] * len(rows)) + "\n ]"
+    return text % tuple(chain.from_iterable(rows))
 
 
 def _int_rows(rows: list, width: int | None = None) -> bool:
@@ -78,6 +49,18 @@ def _int_rows(rows: list, width: int | None = None) -> bool:
     )
 
 
+def _checked_fields(name, labels) -> tuple[str, ...] | None:
+    """The labels as a tuple, once the name is checked to be a string or
+    None and the labels a list or tuple of strings or None."""
+    if name is not None and not isinstance(name, str):
+        raise DocumentError('"name" must be a string')
+    if labels is None:
+        return None
+    if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
+        raise DocumentError('"vertex_labels" must be a list of strings')
+    return tuple(labels)
+
+
 @dataclass(frozen=True)
 class GraphDocument:
     graph: SignedGraph
@@ -85,22 +68,25 @@ class GraphDocument:
     vertex_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.vertex_labels is not None and len(self.vertex_labels) != self.graph.n:
-            raise DocumentError(
-                f"{len(self.vertex_labels)} vertex labels for {self.graph.n} vertices"
-            )
+        labels = _checked_fields(self.name, self.vertex_labels)
+        object.__setattr__(self, "vertex_labels", labels)
+        if labels is not None and len(labels) != self.graph.n:
+            raise DocumentError(f"{len(labels)} vertex labels for {self.graph.n} vertices")
 
     def to_json(self) -> str:
-        doc: dict = {
-            "n": self.graph.n,
-            "edges": self.graph.edges,
-        }
+        """Exactly json.dumps of the document with indent=1, without json's
+        pure-Python indenting encoder."""
+        text = '{\n "n": %d,\n "edges": %s' % (self.graph.n, _rows_json(self.graph.edges))
         if self.name is not None:
-            doc["name"] = self.name
+            text += ',\n "name": ' + json.dumps(self.name)
         if self.vertex_labels is not None:
-            doc["vertex_labels"] = self.vertex_labels
-        # a graph's edges are exact-int (u, v, sign) tuples by construction
-        return _dumps(doc, int_rows="edges")
+            text += ',\n "vertex_labels": '
+            if self.vertex_labels:
+                labels = json.dumps(self.vertex_labels, separators=(",\n  ", ": "))
+                text += "[\n  " + labels[1:-1] + "\n ]"
+            else:
+                text += "[]"
+        return text + "\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDocument":
@@ -117,25 +103,15 @@ class GraphDocument:
         # SignedGraph takes only exact-int triples, so the rows go to it as
         # parsed and are looked at only when it refuses them: a bad row is
         # named at once, and a graph error waits for the name and labels
-        failure = None
         try:
             graph = SignedGraph(n, edges)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError):
             if not _int_rows(edges, 3):
                 bad = next(e for e in edges if not _int_rows([e], 3))
                 raise DocumentError(f"bad edge entry {bad!r}") from None
-            failure = exc
-        name = raw.get("name")
-        if name is not None and not isinstance(name, str):
-            raise DocumentError('"name" must be a string')
-        labels = raw.get("vertex_labels")
-        if labels is not None:
-            if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-                raise DocumentError('"vertex_labels" must be a list of strings')
-            labels = tuple(labels)
-        if failure is not None:
-            raise failure
-        return cls(graph, name, labels)
+            _checked_fields(raw.get("name"), raw.get("vertex_labels"))
+            raise
+        return cls(graph, raw.get("name"), raw.get("vertex_labels"))
 
 
 @dataclass(frozen=True)
@@ -143,11 +119,11 @@ class WitnessDocument:
     switching: KSwitching
 
     def to_json(self) -> str:
-        doc = {
-            "k": self.switching.k,
-            "zeta": self.switching.vectors,
-        }
-        return _dumps(doc)
+        """Exactly json.dumps of the document with indent=1."""
+        return '{\n "k": %d,\n "zeta": %s\n}' % (
+            self.switching.k,
+            _rows_json(self.switching.vectors),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessDocument":

@@ -119,8 +119,11 @@ def test_bdim_witness_file_and_oracle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bdim = 2" in out
     assert "oracle = 2 (agrees)" in out
-    witness = WitnessDocument.from_json(wfile.read_text())
+    text = wfile.read_text()
+    witness = WitnessDocument.from_json(text)
     assert is_k_positive(unbalanced_cycle(5), witness.switching)
+    # a written document ends as a printed one does
+    assert text == witness.to_json() + "\n"
 
 
 def test_unwritable_witness_path_is_input_error(tmp_path, capsys):
@@ -245,7 +248,9 @@ def test_verify_subcommand(tmp_path, capsys):
     assert main(["verify", "--claims", "C15,C19", "--json", str(records)]) == 0
     out = capsys.readouterr().out
     assert "C15" in out and "C19" in out and "2/2 claims passed" in out
-    data = json.loads(records.read_text())
+    text = records.read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=1) + "\n"
     assert [r["id"] for r in data] == ["C15", "C19"]
     assert all(r["status"] == "pass" for r in data)
 

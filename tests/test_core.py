@@ -438,6 +438,25 @@ def test_induced_subgraph_relabels():
     assert sub == build_graph(3, [(0, 1, 1), (1, 2, -1)])
 
 
+def test_induced_subgraph_matches_a_per_edge_reference():
+    # graphs of many components, cut by shuffled vertex subsets
+    rng = random.Random(31)
+    for _ in range(80):
+        n, edges = 0, []
+        for _ in range(rng.randint(1, 8)):
+            part = helpers.random_signed_graph(rng, max_n=6)
+            edges += [(u + n, v + n, s) for u, v, s in part.edges]
+            n += part.n
+        g = SignedGraph(n, tuple(edges))
+        vertices = rng.sample(range(n), rng.randint(0, n))
+        relabel = {v: i for i, v in enumerate(vertices)}
+        expected = build_graph(
+            len(vertices),
+            [(relabel[u], relabel[v], s) for u, v, s in g.edges if u in relabel and v in relabel],
+        )
+        assert induced_subgraph(g, vertices) == expected
+
+
 @pytest.mark.parametrize("vertices", [[7], [0, 5], [-1], [True], [1.0], [None]])
 def test_induced_subgraph_rejects_vertices_outside_the_graph(vertices):
     with pytest.raises(VertexRangeError):
@@ -552,7 +571,7 @@ def test_bfs_and_adjacency_caches_are_plain_attributes_after_first_read():
     # a non-data descriptor without a lock: the first read stores the value
     # in the instance __dict__, which every later read finds first
     g = unbalanced_cycle(5)
-    for name in ("_bfs", "_adjacency"):
+    for name in ("_adjacency", "_bfs"):
         cache = vars(SignedGraph)[name]
         assert not hasattr(type(cache), "__set__") and not hasattr(cache, "lock")
         assert name not in vars(g)
