@@ -68,7 +68,8 @@ def inner_sign(a, b) -> int:
 
 @dataclass(frozen=True)
 class KSwitching:
-    """One vector over {-1,0,1}^k per vertex, indexed by vertex id."""
+    """One vector over {-1,0,1}^k per vertex, indexed by vertex id, stored
+    as a tuple of tuples whatever sequences it is built from."""
 
     k: int
     vectors: tuple[tuple[int, ...], ...]
@@ -76,19 +77,16 @@ class KSwitching:
     def __post_init__(self):
         k = self.k
         _check_int("dimension", k, DimensionMismatchError)
-        vectors = self.vectors
-        try:
+        vectors = tuple(map(tuple, self.vectors))
+        object.__setattr__(self, "vectors", vectors)
+        # entry types first, over every vector: a set of the vectors merges
+        # (True, 0) and (1.0, 0) into (1, 0), and an unhashable entry breaks it
+        if set(map(type, chain.from_iterable(vectors))) <= {int}:
             distinct = set(vectors)  # a witness repeats a few vectors many times
-        except TypeError:  # list vectors are checked one by one
-            distinct = vectors
-        # entry types are read over every vector, as the set merges (True, 0)
-        # and (1.0, 0) into (1, 0)
-        if (
-            set(map(len, distinct)) <= {k}
-            and all(map(OMEGA.__contains__, chain.from_iterable(distinct)))
-            and set(map(type, chain.from_iterable(vectors))) <= {int}
-        ):
-            return
+            if set(map(len, distinct)) <= {k} and all(
+                map(OMEGA.__contains__, chain.from_iterable(distinct))
+            ):
+                return
         for i, vec in enumerate(vectors):  # name the first bad vector
             if len(vec) != k:
                 raise DimensionMismatchError(
@@ -334,7 +332,7 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
             for v, vec in zip(order, vecs):
                 vectors[v] = vec
         else:
-            return BdimResult(k, KSwitching(k, tuple(vectors)), explored)
+            return BdimResult(k, KSwitching(k, vectors), explored)
     raise BdimCapExceededError(cap)
 
 

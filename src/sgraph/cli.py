@@ -34,13 +34,7 @@ from .core import (
 from .documents import DocumentError, GraphDocument, WitnessDocument, to_dot
 from .products import PRODUCT_KINDS, pair_labels, product
 from .tables import TableParameterError, table_witness
-from .verify import (
-    CLAIM_IDS,
-    UnknownClaimError,
-    format_report,
-    report_record,
-    run_claims,
-)
+from .verify import UnknownClaimError, format_report, report_record, run_claims
 
 FAMILIES = {
     "all-positive-complete": all_positive_complete,
@@ -152,14 +146,9 @@ def _cmd_switch(args) -> int:
 
 
 def _cmd_witness_table(args) -> int:
-    tid, m, n = args.table_id, args.m, args.n
-    if tid == 5:
-        base = bdim_search(all_negative_complete(m)).witness
-        witness = table_witness(5, m, n, base=base)
-        target = product("cartesian", all_negative_complete(m), all_negative_complete(n))
-    else:
-        witness = table_witness(tid, m, n)
-        target = product("cartesian", unbalanced_cycle(m), unbalanced_cycle(n))
+    witness = table_witness(args.table_id, args.m, args.n)
+    family = all_negative_complete if args.table_id == 5 else unbalanced_cycle
+    target = product("cartesian", family(args.m), family(args.n))
     print(WitnessDocument(witness).to_json())
     positive = is_k_positive(target, witness)
     print(
@@ -171,15 +160,11 @@ def _cmd_witness_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     selection = "all"
-    if args.claims and args.claims != "all":
+    if args.claims != "all":
         selection = [cid.strip() for cid in args.claims.split(",") if cid.strip()]
-    overrides = None
-    if args.trials is not None:
-        if args.trials < 0:
-            raise InputError(f"--trials must be >= 0, got {args.trials}")
-        ids = CLAIM_IDS if selection == "all" else selection
-        overrides = dict.fromkeys(ids, args.trials)
-    reports = run_claims(selection, seed=args.seed, overrides=overrides)
+    if args.trials is not None and args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
+    reports = run_claims(selection, seed=args.seed, trials=args.trials)
     for report in reports:
         print(format_report(report))
     if args.json:

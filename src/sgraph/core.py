@@ -136,12 +136,13 @@ class SignedGraph:
         return tuple(orders), tuple(zeta), tuple(tree)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        if not 0 <= u < self.n:
-            raise GraphError(f"vertex {u} outside vertex range 0..{self.n - 1}")
+        if not _is_vertex(self.n, u):
+            raise GraphError(f"vertex {u!r} outside vertex range 0..{self.n - 1}")
         return tuple(self._adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adjacency[u]
+        n = self.n
+        return _is_vertex(n, u) and _is_vertex(n, v) and v in self._adjacency[u]
 
     def sign(self, u: int, v: int) -> int:
         if not self.has_edge(u, v):
@@ -149,12 +150,17 @@ class SignedGraph:
         return self.edges[self._adjacency[u][v]][2]
 
 
+def _is_vertex(n: int, v) -> bool:
+    """True for an exact int in 0..n-1: a float, bool or None is no vertex."""
+    return type(v) is int and 0 <= v < n
+
+
 def _checked_edge(n: int, u, v, s) -> Edge:
     """Check one edge in order (loop, range, sign) and raise the first
     failure's error; an edge that passes comes back as its u < v triple."""
     if u == v:
         raise LoopEdgeError(f"loop edge at vertex {u}")
-    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+    if not (_is_vertex(n, u) and _is_vertex(n, v)):
         raise VertexRangeError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
     if type(s) is not int or s not in (-1, 1):
         raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
@@ -318,7 +324,7 @@ def induced_subgraph(g: SignedGraph, vertices: Sequence[int]) -> SignedGraph:
     follows their degrees and not the size of g."""
     relabel = {}
     for i, v in enumerate(vertices):
-        if type(v) is not int or not 0 <= v < g.n:
+        if not _is_vertex(g.n, v):
             raise VertexRangeError(f"vertex {v!r} outside vertex range 0..{g.n - 1}")
         if relabel.setdefault(v, i) != i:
             raise GraphError(f"repeated vertex {v} in induced subgraph")

@@ -141,7 +141,7 @@ class WitnessDocument:
             bad = next(vec for vec in zeta if not _int_rows([vec]))
             raise DocumentError(f"bad vector entry {bad!r}")
         try:
-            switching = KSwitching(k, tuple(tuple(vec) for vec in zeta))
+            switching = KSwitching(k, zeta)
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
         return cls(switching)

@@ -7,7 +7,7 @@ vertex range. Table 5 covers Cartesian products of all-negative complete
 graphs by cyclically shifting a positive switching of the larger factor.
 """
 
-from .bdim import KSwitching, is_k_positive
+from .bdim import KSwitching, bdim_search, is_k_positive
 from .core import all_negative_complete
 
 
@@ -46,7 +46,7 @@ def _expand(grid, row_classes, col_classes, m: int, n: int, k: int) -> KSwitchin
             for i in rows:
                 for j in cols:
                     vectors[i * n + j] = vec
-    return KSwitching(k, tuple(vectors))
+    return KSwitching(k, vectors)
 
 
 def table_witness(
@@ -57,9 +57,10 @@ def table_witness(
     Ids 1-4 target the product of one-negative cycles of orders m and n:
     1 needs m,n > 3 (dimension 2); 2 needs m = 3, n > 3; 3 needs m > 3, n = 3;
     4 needs m = n = 3 (dimension 3 each). Id 5 targets the product of
-    all-negative complete graphs and needs m >= n plus `base`, a positive
-    switching for the all-negative complete graph on m vertices; the entry at
-    (i, j) is base's vector at (i + j) mod m.
+    all-negative complete graphs and needs m >= n >= 1; the entry at (i, j)
+    is `base`'s vector at (i + j) mod m, where `base` is a positive switching
+    for the all-negative complete graph on m vertices, by default the
+    lex-least one that `bdim_search` finds.
     """
     if table_id == 1:
         if not (m > 3 and n > 3):
@@ -81,8 +82,8 @@ def table_witness(
         if not (1 <= n <= m):
             raise TableParameterError(f"table 5 needs m >= n >= 1, got ({m},{n})")
         if base is None:
-            raise TableParameterError("table 5 needs a base switching")
-        if len(base.vectors) != m or not is_k_positive(
+            base = bdim_search(all_negative_complete(m)).witness
+        elif len(base.vectors) != m or not is_k_positive(
             all_negative_complete(m), base
         ):
             raise TableParameterError(

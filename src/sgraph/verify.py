@@ -246,8 +246,7 @@ def _c3_holds(p: dict) -> bool:
     prod = cartesian(all_negative_complete(m), all_negative_complete(n))
     if p["kind"] == "bdim":
         return _bdim(prod) == _clique_bdim(max(m, n))
-    base = bdim_search(all_negative_complete(m)).witness
-    return is_k_positive(prod, table_witness(5, m, n, base=base))
+    return is_k_positive(prod, table_witness(5, m, n))
 
 
 def _c4_instances(trials: int, rng: random.Random):
@@ -346,15 +345,10 @@ def _c16_instances(trials: int, rng: random.Random):
 
 def _c16_holds(p: dict) -> bool:
     if p["kind"] == "strict":
-        prod = tensor(all_negative_complete(3), all_negative_complete(2))
-        return (
-            is_balanced(prod)[0]
-            and _bdim(prod) == 1
-            and _bdim(all_negative_complete(3)) == 3
-        )
+        return _c19_holds({"check": "tensor-collapse"}) and _clique_bdim(3) == 3
     if p["kind"] == "equal":
         prod = tensor(all_negative_complete(3), all_positive_complete(3))
-        return _bdim(prod) == 3 == _bdim(all_negative_complete(3))
+        return _bdim(prod) == 3 == _clique_bdim(3)
     g1, prod = _left_and_product("tensor", p)
     return _bdim(prod) <= _bdim(g1)
 
@@ -395,7 +389,7 @@ def _c19_holds(p: dict) -> bool:
             complete
             and is_antibalanced(g)
             and _bdim(g) == 3
-            and _bdim(all_negative_complete(2)) == 1
+            and _clique_bdim(2) == 1
         )
     if check == "tensor-collapse":
         prod = tensor(all_negative_complete(3), all_negative_complete(2))
@@ -597,35 +591,36 @@ def _claim(claim_id: str) -> Claim:
 def run_claims(
     selection: str | Iterable[str] = "all",
     seed: int = 0,
-    overrides: dict[str, int] | None = None,
+    trials: int | None = None,
 ) -> list[ClaimReport]:
     """Run the selected claims and return one report per claim.
 
-    Selection is "all", one claim id or an iterable of ids. Reports come back
-    in registry (claim-id) order regardless of selection order. A fixed seed
-    gives identical instance streams across runs.
+    Selection is "all", one claim id or a non-empty iterable of ids. Reports
+    come back in registry (claim-id) order regardless of selection order. A
+    fixed seed gives identical instance streams across runs. Trials, an int
+    >= 0, replaces every selected claim's own trial count; 0 skips them.
     """
+    if trials is not None and (type(trials) is not int or trials < 0):
+        raise ValueError(f"trial count must be an int >= 0, got {trials!r}")
     if selection == "all":
         ids = list(_REGISTRY)
     else:
         requested = [selection] if isinstance(selection, str) else list(selection)
+        if not requested:
+            raise UnknownClaimError("no claim ids selected")
         unknown = [cid for cid in requested if cid not in _REGISTRY]
         if unknown:
             raise UnknownClaimError(f"unknown claim ids: {unknown}")
         ids = [cid for cid in _REGISTRY if cid in requested]
-    overrides = overrides or {}
-    negative = {cid: trials for cid, trials in overrides.items() if trials < 0}
-    if negative:
-        raise ValueError(f"trial counts must be >= 0, got {negative}")
     reports = []
     for cid in ids:
         claim = _REGISTRY[cid]
-        trials = overrides.get(cid, claim.trials)
+        count = claim.trials if trials is None else trials
         start = time.perf_counter()
         checked, counterexample, status = 0, None, SKIPPED
-        if trials != 0:
+        if count != 0:
             status = PASS
-            for payload in claim.instances(trials, random.Random(f"{seed}:{cid}")):
+            for payload in claim.instances(count, random.Random(f"{seed}:{cid}")):
                 checked += 1
                 if not claim.holds(payload):
                     counterexample, status = payload, FAIL

@@ -70,6 +70,13 @@ def test_kswitching_validation():
     assert z.k == 1 and z.vectors == ((1,), (-1,), (1,))
 
 
+def test_kswitching_stores_tuple_vectors():
+    built = KSwitching(1, [[1], [-1]])
+    assert built.vectors == ((1,), (-1,)) and type(built.vectors[0]) is tuple
+    assert built == KSwitching(1, ((1,), (-1,)))
+    assert hash(built) == hash(KSwitching(1, ((1,), (-1,))))
+
+
 @pytest.mark.parametrize("k,vectors", [(True, ((1,),)), (2.0, ((1, 0),)), ("2", ())])
 def test_kswitching_dimension_is_an_exact_int(k, vectors):
     # a bool or float k would write a witness document that reading refuses

@@ -230,6 +230,22 @@ def test_witness_table_bad_parameters(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("m, n", [(8, 9), (9, 10), (3, 0)])
+def test_witness_table_five_checks_orders_before_searching(m, n, capsys, monkeypatch):
+    import sgraph.cli as cli_module
+    import sgraph.tables as tables_module
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("bdim_search called")
+
+    monkeypatch.setattr(tables_module, "bdim_search", no_search)
+    monkeypatch.setattr(cli_module, "bdim_search", no_search)
+    assert main(["witness-table", "5", str(m), str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: table 5 needs m >= n >= 1, got ({m},{n})\n"
+    assert captured.out == ""
+
+
 def test_export_dot_is_deterministic(capsys, monkeypatch):
     main(["gen", "unbalanced-cycle", "3"])
     doc = capsys.readouterr().out
@@ -268,11 +284,19 @@ def test_verify_unknown_claim(capsys):
     assert "unknown claim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("claims", [",", "", " , "])
+def test_verify_empty_selection_is_input_error(claims, capsys):
+    assert main(["verify", "--claims", claims]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no claim ids selected\n"
+    assert captured.out == ""
+
+
 def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
     import sgraph.cli as cli_module
     from sgraph.verify import ClaimReport
 
-    def fake_run_claims(selection, seed=0, overrides=None):
+    def fake_run_claims(selection, seed=0, trials=None):
         return [ClaimReport("C1", "fail", 7, {"broken": True}, 0.01)]
 
     monkeypatch.setattr(cli_module, "run_claims", fake_run_claims)
@@ -289,8 +313,7 @@ def test_verify_trials_override(capsys):
 def test_trials_help_names_the_claims_sized_by_the_count(capsys):
     counts = {}
     for trials in (1, 2):
-        overrides = dict.fromkeys(CLAIM_IDS, trials)
-        counts[trials] = [r.instances_checked for r in run_claims(overrides=overrides)]
+        counts[trials] = [r.instances_checked for r in run_claims(trials=trials)]
     sized = [cid for cid, a, b in zip(CLAIM_IDS, counts[1], counts[2]) if a != b]
     assert main(["verify", "--help"]) == 0
     help_text = capsys.readouterr().out.split("--trials TRIALS")[-1]

@@ -164,6 +164,8 @@ def test_cycle_sign_rejects_non_cycles():
         cycle_sign(g, (0, 1, 1))
     with pytest.raises(NotACycleError):
         cycle_sign(path_graph(4), (0, 1, 2, 3))  # (3,0) is not an edge
+    with pytest.raises(NotACycleError, match=r"^\(1,2\.0\) is not an edge"):
+        cycle_sign(unbalanced_cycle(3), (0, 1, 2.0))  # 2.0 is no vertex
 
 
 def test_apply_switching_makes_triangle_positive():
@@ -217,7 +219,7 @@ def test_apply_switching_accepts_int_signs():
     assert {type(s) for _, _, s in switched.edges} == {int}
 
 
-@pytest.mark.parametrize("u", [-1, -3, -4, 3, 4])
+@pytest.mark.parametrize("u", [-1, -3, -4, 3, 4, 1.0, True, None])
 def test_vertices_outside_range_have_no_edges(u):
     g = path_graph(3)
     assert not g.has_edge(u, 1) and not g.has_edge(1, u)

@@ -89,8 +89,10 @@ def test_table_five_rejects_bad_base():
     good = bdim_search(all_negative_complete(3)).witness
     with pytest.raises(TableParameterError):
         table_witness(5, 2, 3, base=good)  # m < n
-    with pytest.raises(TableParameterError):
-        table_witness(5, 3, 2)  # no base
+    # no base: the cyclic shift of the lex-least search witness
+    w = table_witness(5, 3, 2)
+    assert w == table_witness(5, 3, 2, base=good)
+    assert w.vectors == tuple(good.vectors[(i + j) % 3] for i in range(3) for j in range(2))
     with pytest.raises(TableParameterError):
         table_witness(5, 4, 2, base=good)  # base covers the wrong order
     not_positive = KSwitching(1, ((1,), (1,), (1,)))

@@ -51,6 +51,9 @@ def test_unknown_claim_id():
         recheck_counterexample("C99", {})
     with pytest.raises(UnknownClaimError):
         claim_description("nope")
+    for empty in ([], (), iter([])):
+        with pytest.raises(UnknownClaimError, match="^no claim ids selected$"):
+            run_claims(empty)
 
 
 def test_a_single_id_string_selects_one_claim():
@@ -73,20 +76,23 @@ def test_runs_are_deterministic_for_a_seed():
 
 
 def test_trials_zero_skips():
-    (report,) = run_claims(["C8"], overrides={"C8": 0})
-    assert report.status == "skipped"
-    assert report.instances_checked == 0
+    reports = run_claims(["C8", "C19"], trials=0)
+    assert [r.status for r in reports] == ["skipped", "skipped"]
+    assert [r.instances_checked for r in reports] == [0, 0]
 
 
 def test_budget_override_limits_trials():
-    (report,) = run_claims(["C8"], overrides={"C8": 5})
+    (report,) = run_claims(["C8"], trials=5)
     assert report.status == "pass"
     assert report.instances_checked == 5
 
 
 def test_negative_trial_override_is_rejected():
-    with pytest.raises(ValueError, match=r"^trial counts must be >= 0, got \{'C1': -2\}$"):
-        run_claims(["C1"], overrides={"C1": -2})
+    # one count for every claim, so it must be an exact int: not a float,
+    # bool or string that happens to compare as one
+    for trials, shown in ((-2, "-2"), (1.0, r"1\.0"), (True, "True"), ("3", "'3'")):
+        with pytest.raises(ValueError, match=rf"^trial count must be an int >= 0, got {shown}$"):
+            run_claims(["C1"], trials=trials)
 
 
 def test_counterexamples_recheck_standalone():
