@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, product as iproduct
 from operator import mul, or_
 
-from .core import (
-    SignedGraph,
-    components,
-    induced_subgraph,
-    is_balanced,
-)
+from .core import SignedGraph, _check_int, components, induced_subgraph
 
 OMEGA = (-1, 0, 1)
 
@@ -161,8 +156,9 @@ def _sign_masks(
 ]:
     """Candidates for dimension k and their per-k search tables.
 
-    Returns (cands, neg, pos, root, zeros, allowed): the nonzero vectors of
-    {-1,0,1}^k in lexicographic order (-1 < 0 < 1); for each candidate j,
+    Returns (cands, neg, pos, root, zeros, allowed): all of {-1,0,1}^k in
+    lexicographic order (-1 < 0 < 1), so a candidate's index is its base-3
+    rank and the zero vector is one of them; for each candidate j,
     the bitsets (bit i stands for cands[i]) of candidates whose inner product
     with it is negative and positive; the bitset of the root's canonical
     vectors; for each candidate, the bitset of its zero coordinates (bit j for
@@ -186,21 +182,13 @@ def _sign_masks(
                             out[t + ab + 1] |= bits << shift
                 grown.append(out)
         rows = grown
-    zero = (3**k - 1) // 2  # lexicographic index of the zero vector
-    low = (1 << zero) - 1
-
-    def drop_zero(bits: int) -> int:
-        return (bits & low) | (bits >> (zero + 1) << zero)
-
     # tuples: the cache hands the same result to every caller
-    cands = tuple(v for v in iproduct(OMEGA, repeat=k) if any(v))
-    del rows[zero]
-    neg = tuple(drop_zero(functools.reduce(or_, row[:k])) for row in rows)
-    pos = tuple(drop_zero(functools.reduce(or_, row[k + 1 :])) for row in rows)
+    cands = tuple(iproduct(OMEGA, repeat=k))
+    neg = tuple(functools.reduce(or_, row[:k]) for row in rows)
+    pos = tuple(functools.reduce(or_, row[k + 1 :]) for row in rows)
     # t ones then zeros; exhaustive for a component root up to coordinate
     # permutations and per-coordinate sign flips, which preserve inner products
-    index = {v: i for i, v in enumerate(cands)}
-    root = sum(1 << index[(1,) * t + (0,) * (k - t)] for t in range(1, k + 1))
+    root = sum(1 << cands.index((1,) * t + (0,) * (k - t)) for t in range(1, k + 1))
     zeros = tuple(sum(1 << j for j, x in enumerate(v) if not x) for v in cands)
     notplus = [sum(1 << i for i, v in enumerate(cands) if v[j] != 1) for j in range(k)]
     allowed = [(1 << len(cands)) - 1]
@@ -217,15 +205,17 @@ def _search_component(
 
     g is connected and labelled in BFS order from vertex 0, so every vertex
     after the root has an earlier neighbour. Vertices are assigned in label
-    order from the nonzero vectors of {-1,0,1}^k, candidates tried in
-    lexicographic order (-1 < 0 < 1); the root takes only canonical vectors.
-    Each vertex keeps a bitset domain of the candidates that give every edge
-    back to an assigned vertex a positive switched sign. Assigning a
-    candidate narrows the domains of later neighbours (undone through a
-    trail on backtrack), and the candidate is rejected as soon as one of
-    them empties. This cuts only branches without a completion, so the first
-    full assignment is the same lex-least one a plain backtracking search
-    finds.
+    order from the vectors of {-1,0,1}^k, candidates tried in lexicographic
+    order (-1 < 0 < 1); the root takes only canonical vectors. Each vertex
+    keeps a bitset domain of the candidates that give every edge back to an
+    assigned vertex a positive switched sign. Assigning a candidate narrows
+    the domains of later neighbours (undone through a trail on backtrack),
+    and the candidate is rejected as soon as one of them empties. This cuts
+    only branches without a completion, so the first full assignment is the
+    same lex-least one a plain backtracking search finds.
+    The zero vector is a candidate too, in no sign mask and not canonical, so
+    BFS labelling is also what keeps it out: every vertex after the root
+    loses it from its domain when its earlier neighbour is assigned.
     A vertex p >= 1 also skips candidates with +1 in a coordinate that is
     zero on every vertex before it. Flipping that coordinate's sign on all
     vertices fixes the root's canonical vector and every vector before p,
@@ -241,7 +231,6 @@ def _search_component(
     for u, v, s in g.edges:  # sorted, u < v
         ahead[u].append((v, by_sign[s]))
     domain = [(1 << len(cands)) - 1] * nvert
-    domain[0] = root
     untried = [0] * nvert  # candidates of the domain not yet tried at p
     untried[0] = root
     marks = [0] * nvert  # trail length when p was reached
@@ -282,14 +271,6 @@ def _search_component(
             untried[p] = domain[p] & allowed[z]
 
 
-def _check_int(name: str, value, error: type[ValueError] = ValueError) -> None:
-    """Reject a dimension or cap that is not an exact int >= 1."""
-    if type(value) is not int:
-        raise error(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise error(f"{name} must be >= 1, got {value}")
-
-
 def _cap(g: SignedGraph, max_k: int | None) -> int:
     if max_k is None:
         return max(len(g.edges), 1)
@@ -300,23 +281,23 @@ def _cap(g: SignedGraph, max_k: int | None) -> int:
 def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     """Least k admitting a k-positive switching, with a witness.
 
-    A balanced graph is answered at k = 1 by the balance test. Otherwise each
-    component with an edge is relabelled in BFS order, and each k = 2, 3, ...
-    searches every component in turn; the first that has no k-switching ends
-    the rung. The first k at which every component succeeds is the dimension,
-    and their witnesses at k are the answer. Components left all-positive by
-    the balance test's spanning-forest switching are balanced, so they come
-    last and are searched only at that final k. Isolated vertices get the
-    canonical vector (1,0,...,0). Raises BdimCapExceededError when no
-    dimension up to max_k works. The default, the edge count, is a true cap:
-    one private coordinate per edge always yields a positive switching.
+    A graph that the BFS pass's spanning-forest switching leaves all-positive
+    is balanced and answered at k = 1 with it. Otherwise each component with
+    an edge is relabelled in BFS order, and each k = 2, 3, ... searches every
+    component in turn; the first that has no k-switching ends the rung. The
+    first k at which every component succeeds is the dimension, and their
+    witnesses at k are the answer. Components that switching leaves
+    all-positive are balanced, so they come last and are searched only at
+    that final k. Isolated vertices get the canonical vector (1,0,...,0).
+    Raises BdimCapExceededError when no dimension up to max_k works. The
+    default, the edge count, is a true cap: one private coordinate per edge
+    always yields a positive switching.
     """
     cap = _cap(g, max_k)
-    balanced, zeta = is_balanced(g)
-    if balanced:
-        return BdimResult(1, KSwitching.from_scalar(zeta), g.n)
-    zeta = g._bfs[1]  # the switching the balance test tried
+    zeta = g._bfs[1]
     frustrated = {u for u, v, s in g.edges if zeta[u] * s != zeta[v]}
+    if not frustrated:
+        return BdimResult(1, KSwitching.from_scalar(zeta), g.n)
     orders = sorted(
         (order for order in components(g) if len(order) > 1), key=frustrated.isdisjoint
     )

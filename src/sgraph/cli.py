@@ -2,13 +2,15 @@
 queries, switching, table witnesses, claim verification, and DOT export.
 
 Exit codes: 0 success, 1 computation failure (e.g. dimension cap exceeded or
-a failed claim), 2 input error. Any other exception is a fault in sgraph and
-propagates.
+a failed claim), 2 input error. A standard output closed by its reader ends
+the run quietly with exit 1, Python's own code for a broken pipe. Any other
+exception is a fault in sgraph and propagates.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .bdim import (
@@ -242,7 +244,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # inside the try: a closed pipe may show only here
+        return code
+    except BrokenPipeError:  # devnull takes the unwritable buffer's flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         InputError,
         DocumentError,

@@ -68,10 +68,7 @@ class SignedGraph:
 
     def __post_init__(self):
         n = self.n
-        if type(n) is not int:
-            raise GraphError(f"vertex count must be an int, got {n!r}")
-        if n < 0:
-            raise GraphError(f"vertex count must be >= 0, got {n}")
+        _check_int("vertex count", n, GraphError, least=0)
         normalized = []
         append = normalized.append
         for edge in self.edges:
@@ -148,6 +145,14 @@ class SignedGraph:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u},{v})")
         return self.edges[self._adjacency[u][v]][2]
+
+
+def _check_int(name: str, value, error: type[ValueError] = ValueError, least: int = 1) -> None:
+    """Reject a count, dimension or cap that is not an exact int >= least."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
 
 
 def _is_vertex(n: int, v) -> bool:

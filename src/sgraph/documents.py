@@ -137,12 +137,13 @@ class WitnessDocument:
             raise DocumentError('"k" must be an integer')
         if not isinstance(zeta, list):
             raise DocumentError('"zeta" must be a list of vectors')
-        if not _int_rows(zeta):
-            bad = next(vec for vec in zeta if not _int_rows([vec]))
-            raise DocumentError(f"bad vector entry {bad!r}")
+        # as for graph rows: the vectors are looked at only when refused
         try:
             switching = KSwitching(k, zeta)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
+            if not _int_rows(zeta):
+                bad = next(vec for vec in zeta if not _int_rows([vec]))
+                raise DocumentError(f"bad vector entry {bad!r}") from None
             raise DocumentError(str(exc)) from exc
         return cls(switching)
 

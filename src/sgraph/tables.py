@@ -60,8 +60,10 @@ def table_witness(
     all-negative complete graphs and needs m >= n >= 1; the entry at (i, j)
     is `base`'s vector at (i + j) mod m, where `base` is a positive switching
     for the all-negative complete graph on m vertices, by default the
-    lex-least one that `bdim_search` finds.
+    lex-least one that `bdim_search` finds. The orders are exact ints.
     """
+    if type(m) is not int or type(n) is not int:
+        raise TableParameterError(f"table orders must be ints, got ({m!r},{n!r})")
     if table_id == 1:
         if not (m > 3 and n > 3):
             raise TableParameterError(f"table 1 needs m,n > 3, got ({m},{n})")

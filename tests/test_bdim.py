@@ -671,6 +671,28 @@ def test_search_component_matches_plain_backtracking():
         assert vecs == helpers.reference_first_switching(g, k), (g, k)
 
 
+def test_sign_masks_match_pairwise_arithmetic():
+    # the per-k search tables entry by entry: candidate i is the vector of
+    # base-3 rank i, the zero vector included, and bit j of a row stands for
+    # candidate j
+    for k in range(1, 5):
+        cands, neg, pos, root, zeros, allowed = sgraph.bdim._sign_masks(k)
+        assert cands == tuple(iproduct((-1, 0, 1), repeat=k))
+        assert len(neg) == len(pos) == len(zeros) == 3**k
+        for i, x in enumerate(cands):
+            dots = [sum(a * b for a, b in zip(x, y)) for y in cands]
+            assert neg[i] == sum(1 << j for j, d in enumerate(dots) if d < 0), (k, x)
+            assert pos[i] == sum(1 << j for j, d in enumerate(dots) if d > 0), (k, x)
+            assert zeros[i] == sum(1 << c for c in range(k) if x[c] == 0), (k, x)
+        ones_then_zeros = [(1,) * t + (0,) * (k - t) for t in range(1, k + 1)]
+        assert root == sum(1 << cands.index(v) for v in ones_then_zeros)
+        assert len(allowed) == 1 << k
+        for z, bits in enumerate(allowed):
+            coords = [c for c in range(k) if z >> c & 1]
+            plus_free = [i for i, x in enumerate(cands) if 1 not in [x[c] for c in coords]]
+            assert bits == sum(1 << i for i in plus_free), (k, z)
+
+
 def test_sign_flip_rule_prunes_all_negative_k6():
     # 1,769,581 candidates without the rule
     assert bdim_search(all_negative_complete(6)).explored <= 400_000

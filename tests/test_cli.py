@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -416,6 +417,30 @@ def test_python_dash_m_entrypoint():
     )
     assert proc.returncode == 0
     assert GraphDocument.from_json(proc.stdout).graph == unbalanced_cycle(4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "all-negative-complete", "200"],  # larger than a pipe buffer
+        ["witness-table", "5", "4", "3"],  # small: the pipe breaks on the flush
+        ["verify", "--claims", "C8"],
+    ],
+)
+def test_closed_stdout_ends_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgraph", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            check=False,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
