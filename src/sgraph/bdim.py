@@ -135,7 +135,8 @@ def is_k_positive(g: SignedGraph, z: KSwitching) -> bool:
 class BdimResult:
     """Computed balancing dimension with a validating witness.
 
-    `explored` counts candidate vector assignments examined; diagnostic only.
+    `explored` counts candidate vector assignments tried; candidates that
+    the search prunes before trying them are not counted. Diagnostic only.
     """
 
     dimension: int
@@ -222,6 +223,14 @@ def _search_component(
     keeps every inner product, so maps a positive assignment to a positive
     one, and makes p's vector lex-smaller: the lex-least assignment never
     has such a +1, and the rule cuts nothing a plain search would return.
+    Arrival rule: when p is reached, each later neighbour q whose domain is
+    one candidate j keeps p's candidates to masks[j], those whose sign with
+    j fits the edge. Inner products are symmetric, so these are exactly the
+    candidates that would not empty q's domain; forward checking would try
+    and reject every other one, so the rule changes only the count tried.
+    An unassigned vertex's domain is never empty there, since a candidate
+    that empties one is rejected and the trail restores it, so a domain d
+    with d & (d - 1) == 0 holds exactly one candidate.
     Returns (vectors indexed by vertex, candidates tried).
     """
     cands, neg, pos, root, zeros, allowed = _sign_masks(k)
@@ -268,7 +277,12 @@ def _search_component(
                 return [cands[i] for i in assign], tried
             marks[p] = len(trail)
             zero[p] = z = zero[p - 1] & zeros[i]
-            untried[p] = domain[p] & allowed[z]
+            bits = domain[p] & allowed[z]
+            for q, masks in ahead[p]:
+                d = domain[q]
+                if not d & (d - 1):  # one candidate j left at q
+                    bits &= masks[d.bit_length() - 1]
+            untried[p] = bits
 
 
 def _cap(g: SignedGraph, max_k: int | None) -> int:

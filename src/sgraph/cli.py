@@ -171,9 +171,11 @@ def _cmd_verify(args) -> int:
         print(format_report(report))
     if args.json:
         _write_text(args.json, json.dumps([report_record(r) for r in reports], indent=1))
-    failed = [r for r in reports if r.status == "fail"]
-    print(f"{len(reports) - len(failed)}/{len(reports)} claims passed")
-    return 1 if failed else 0
+    statuses = [r.status for r in reports]
+    passed, skipped = statuses.count("pass"), statuses.count("skipped")
+    summary = f"{passed}/{len(reports)} claims passed"
+    print(f"{summary}, {skipped} skipped" if skipped else summary)
+    return 1 if "fail" in statuses else 0
 
 
 def _cmd_export_dot(args) -> int:

@@ -660,12 +660,18 @@ def test_witnesses_pinned_on_seeded_disjoint_unions():
 
 
 def test_search_component_matches_plain_backtracking():
-    # the forward checking and the sign-flip rule cut only branches that
-    # hold no lex-least assignment: a search without either agrees everywhere
+    # the forward checking, the sign-flip rule and the arrival rule cut only
+    # branches that hold no lex-least assignment: a search without any of
+    # them agrees everywhere
     rng = random.Random(5)
     graphs = [sgraph.verify._random_connected(rng, 2 + i % 6) for i in range(300)]
     cases = [(helpers.bfs_relabelled(g), k) for g in graphs for k in (1, 2, 3)]
     cases += [(all_negative_complete(n), k) for n in (3, 4, 5) for k in (1, 2, 3, 4)]
+    # denser graphs at k = 2, where a later neighbour is often down to one
+    # candidate before the search reaches it
+    rng = random.Random(6)
+    graphs = [sgraph.verify._random_connected(rng, 8 + i % 2) for i in range(200)]
+    cases += [(helpers.bfs_relabelled(g), 2) for g in graphs]
     for g, k in cases:
         vecs, _ = sgraph.bdim._search_component(g, k)
         assert vecs == helpers.reference_first_switching(g, k), (g, k)
@@ -696,6 +702,15 @@ def test_sign_masks_match_pairwise_arithmetic():
 def test_sign_flip_rule_prunes_all_negative_k6():
     # 1,769,581 candidates without the rule
     assert bdim_search(all_negative_complete(6)).explored <= 400_000
+
+
+def test_arrival_rule_prunes_search_family_k3():
+    # 23,710 candidates without the rule; its outputs are the same, so only
+    # the count of candidates tried shows it
+    rng = random.Random(0)
+    graphs = [sgraph.verify._random_connected(rng, 10 + i % 5) for i in range(25)]
+    subs = [helpers.bfs_relabelled(g) for g in graphs]
+    assert sum(sgraph.bdim._search_component(g, 3)[1] for g in subs) <= 16_500
 
 
 K8_WITNESS_DIGEST = "64c448da5628c2c291c0a0104e0ee63dcac6c842df51c889a80985aab9b9207e"

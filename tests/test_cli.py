@@ -321,6 +321,13 @@ def test_trials_help_names_the_claims_sized_by_the_count(capsys):
     assert re.findall(r"\bC\d+\b", help_text) == sized
 
 
+def test_verify_summary_counts_skipped_claims_apart(capsys):
+    assert main(["verify", "--claims", "C8,C1", "--trials", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["C1", "skipped"], ["C8", "skipped"]]
+    assert lines[-1] == "0/2 claims passed, 2 skipped"
+
+
 def test_verify_negative_trials_is_input_error(capsys):
     assert main(["verify", "--claims", "C8", "--trials", "-3"]) == 2
     captured = capsys.readouterr()

@@ -83,11 +83,15 @@ def test_parameter_mismatches():
         table_witness(6, 3, 3)
     with pytest.raises(TableParameterError):
         table_witness(0, 4, 4)
-    # orders are exact ints: a float or bool is refused, not used as a number
+    # the id and orders are exact ints: a float or bool is refused, not used
+    # as a number
     for m, n in ((4.0, 4), (4, 4.0), (True, True), (5, True)):
         for table_id in (1, 5):
             with pytest.raises(TableParameterError, match="must be ints"):
                 table_witness(table_id, m, n)
+    for table_id in (True, 1.0, 5.0):
+        with pytest.raises(TableParameterError, match="must be an int"):
+            table_witness(table_id, 4, 4)
 
 
 def test_table_five_rejects_bad_base():
