@@ -186,7 +186,8 @@ def _sign_masks(
     # tuples: the cache hands the same result to every caller
     cands = tuple(iproduct(OMEGA, repeat=k))
     neg = tuple(functools.reduce(or_, row[:k]) for row in rows)
-    pos = tuple(functools.reduce(or_, row[k + 1 :]) for row in rows)
+    # negating y reverses its rank and <x, -y> = -<x, y>
+    pos = neg[::-1]
     # t ones then zeros; exhaustive for a component root up to coordinate
     # permutations and per-coordinate sign flips, which preserve inner products
     root = sum(1 << cands.index((1,) * t + (0,) * (k - t)) for t in range(1, k + 1))

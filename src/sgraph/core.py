@@ -73,18 +73,16 @@ class SignedGraph:
         append = normalized.append
         for edge in self.edges:
             u, v, s = edge
-            try:
-                if (s == 1 or s == -1) and type(u) is int and type(v) is int and type(s) is int:
-                    if 0 <= u < v < n:
-                        # an exact tuple is immutable and already in form
-                        append(edge if type(edge) is tuple else (u, v, s))
-                        continue
-                    if 0 <= v < u < n:
-                        append((v, u, s))
-                        continue
-            except (TypeError, ValueError):
-                pass  # an odd type: _checked_edge raises the specific error
-            append(_checked_edge(n, u, v, s))
+            # exact types first, so that no comparison can raise
+            if type(u) is int and type(v) is int and type(s) is int and (s == 1 or s == -1):
+                if 0 <= u < v < n:
+                    # an exact tuple is immutable and already in form
+                    append(edge if type(edge) is tuple else (u, v, s))
+                    continue
+                if 0 <= v < u < n:
+                    append((v, u, s))
+                    continue
+            raise _edge_error(n, u, v, s)
         normalized.sort()
         for a, b in zip(normalized, normalized[1:]):
             # sorted neighbours mostly share u, so v settles it sooner
@@ -160,16 +158,14 @@ def _is_vertex(n: int, v) -> bool:
     return type(v) is int and 0 <= v < n
 
 
-def _checked_edge(n: int, u, v, s) -> Edge:
-    """Check one edge in order (loop, range, sign) and raise the first
-    failure's error; an edge that passes comes back as its u < v triple."""
+def _edge_error(n: int, u, v, s) -> GraphError:
+    """The error of an edge that construction refused, for the first check
+    it fails in order: loop, range, sign."""
     if u == v:
-        raise LoopEdgeError(f"loop edge at vertex {u}")
+        return LoopEdgeError(f"loop edge at vertex {u}")
     if not (_is_vertex(n, u) and _is_vertex(n, v)):
-        raise VertexRangeError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-    if type(s) is not int or s not in (-1, 1):
-        raise SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
-    return (u, v, s) if u < v else (v, u, s)
+        return VertexRangeError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+    return SignError(f"edge ({u},{v}) has sign {s!r}, expected -1 or +1")
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> SignedGraph:

@@ -17,13 +17,16 @@ class DocumentError(ValueError):
     """Document text does not match the expected schema."""
 
 
-def _load_object(text: str, what: str) -> dict:
+def _load_object(text: str, what: str, keys: set[str]) -> dict:
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must be a JSON object")
+    unknown = set(raw) - keys
+    if unknown:
+        raise DocumentError(f"unknown {what} keys: {sorted(unknown)}")
     return raw
 
 
@@ -90,10 +93,7 @@ class GraphDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDocument":
-        raw = _load_object(text, "graph document")
-        unknown = set(raw) - {"n", "edges", "name", "vertex_labels"}
-        if unknown:
-            raise DocumentError(f"unknown graph document keys: {sorted(unknown)}")
+        raw = _load_object(text, "graph document", {"n", "edges", "name", "vertex_labels"})
         n = raw.get("n")
         edges = raw.get("edges")
         if not isinstance(n, int) or isinstance(n, bool):
@@ -127,10 +127,7 @@ class WitnessDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessDocument":
-        raw = _load_object(text, "witness document")
-        unknown = set(raw) - {"k", "zeta"}
-        if unknown:
-            raise DocumentError(f"unknown witness document keys: {sorted(unknown)}")
+        raw = _load_object(text, "witness document", {"k", "zeta"})
         k = raw.get("k")
         zeta = raw.get("zeta")
         if not isinstance(k, int) or isinstance(k, bool):

@@ -7,6 +7,8 @@ vertex range. Table 5 covers Cartesian products of all-negative complete
 graphs by cyclically shifting a positive switching of the larger factor.
 """
 
+import functools
+
 from .bdim import KSwitching, bdim_search, is_k_positive
 from .core import all_negative_complete
 
@@ -39,6 +41,16 @@ def _three_classes(size: int) -> list[list[int]]:
     return [[0], list(range(1, size - 1)), [size - 1]]
 
 
+# cached for the process: table 5's default base and every K_n⁻ dimension a
+# claim needs come from this one search; the dimension exceeds m from m = 6
+# (7 at m = 6), so this relies on bdim_search's default cap, the edge count
+@functools.cache
+def _clique_witness(m: int) -> KSwitching:
+    """The lex-least positive switching of the all-negative complete graph
+    on m vertices; its k is that graph's dimension."""
+    return bdim_search(all_negative_complete(m)).witness
+
+
 def _expand(grid, row_classes, col_classes, m: int, n: int, k: int) -> KSwitching:
     vectors: list[tuple[int, ...] | None] = [None] * (m * n)
     for row_vecs, rows in zip(grid, row_classes):
@@ -60,7 +72,8 @@ def table_witness(
     all-negative complete graphs and needs m >= n >= 1; the entry at (i, j)
     is `base`'s vector at (i + j) mod m, where `base` is a positive switching
     for the all-negative complete graph on m vertices, by default the
-    lex-least one that `bdim_search` finds. The id and orders are exact ints.
+    lex-least one that `bdim_search` finds, once per process. The id and
+    orders are exact ints.
     """
     if type(table_id) is not int:
         raise TableParameterError(f"table id must be an int, got {table_id!r}")
@@ -70,23 +83,11 @@ def table_witness(
         if not (m > 3 and n > 3):
             raise TableParameterError(f"table 1 needs m,n > 3, got ({m},{n})")
         return _expand(_GRID_2, _four_classes(m), _four_classes(n), m, n, 2)
-    if table_id == 2:
-        if not (m == 3 and n > 3):
-            raise TableParameterError(f"table 2 needs m = 3 and n > 3, got ({m},{n})")
-        return _expand(_GRID_3, _three_classes(3), _three_classes(n), m, n, 3)
-    if table_id == 3:
-        if not (m > 3 and n == 3):
-            raise TableParameterError(f"table 3 needs m > 3 and n = 3, got ({m},{n})")
-        return _expand(_GRID_3, _three_classes(m), _three_classes(3), m, n, 3)
-    if table_id == 4:
-        if not (m == 3 and n == 3):
-            raise TableParameterError(f"table 4 needs m = n = 3, got ({m},{n})")
-        return _expand(_GRID_3, _three_classes(3), _three_classes(3), m, n, 3)
     if table_id == 5:
         if not (1 <= n <= m):
             raise TableParameterError(f"table 5 needs m >= n >= 1, got ({m},{n})")
         if base is None:
-            base = bdim_search(all_negative_complete(m)).witness
+            base = _clique_witness(m)
         elif len(base.vectors) != m or not is_k_positive(
             all_negative_complete(m), base
         ):
@@ -98,4 +99,16 @@ def table_witness(
             base.vectors[(i + j) % m] for i in range(m) for j in range(n)
         )
         return KSwitching(base.k, vectors)
-    raise TableParameterError(f"unknown table id {table_id}")
+    # tables 2-4 are one grid over one class split, so only their orders differ
+    if table_id == 2:
+        if not (m == 3 and n > 3):
+            raise TableParameterError(f"table 2 needs m = 3 and n > 3, got ({m},{n})")
+    elif table_id == 3:
+        if not (m > 3 and n == 3):
+            raise TableParameterError(f"table 3 needs m > 3 and n = 3, got ({m},{n})")
+    elif table_id == 4:
+        if not (m == 3 and n == 3):
+            raise TableParameterError(f"table 4 needs m = n = 3, got ({m},{n})")
+    else:
+        raise TableParameterError(f"unknown table id {table_id}")
+    return _expand(_GRID_3, _three_classes(m), _three_classes(n), m, n, 3)

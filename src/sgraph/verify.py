@@ -9,7 +9,6 @@ given trial count.
 Runs are deterministic for a fixed seed.
 """
 
-import functools
 import json
 import random
 import time
@@ -35,7 +34,7 @@ from .core import (
     unbalanced_cycle,
 )
 from .products import bcd_lex, cartesian, hg_lex, product, strong, tensor
-from .tables import table_witness
+from .tables import _clique_witness, table_witness
 
 PASS = "pass"
 FAIL = "fail"
@@ -123,14 +122,6 @@ _NEGATED = (negate(_SMALL["K2"]), negate(_SMALL["P3"]))
 
 def _bdim(g: SignedGraph) -> int:
     return bdim_search(g).dimension
-
-
-# cached for the module: a dimension computed once is reused by every later
-# instance and run; it can exceed n (7 already for n = 6), so this relies on
-# bdim_search's default cap, the edge count
-@functools.cache
-def _clique_bdim(n: int) -> int:
-    return _bdim(all_negative_complete(n))
 
 
 def _exceeds(g: SignedGraph, cap: int) -> bool:
@@ -245,7 +236,7 @@ def _c3_holds(p: dict) -> bool:
     m, n = p["m"], p["n"]
     prod = cartesian(all_negative_complete(m), all_negative_complete(n))
     if p["kind"] == "bdim":
-        return _bdim(prod) == _clique_bdim(max(m, n))
+        return _bdim(prod) == _clique_witness(max(m, n)).k
     return is_k_positive(prod, table_witness(5, m, n))
 
 
@@ -257,8 +248,7 @@ def _c4_instances(trials: int, rng: random.Random):
 
 def _c4_holds(p: dict) -> bool:
     g, n = _gfrom(p["g"]), p["n"]
-    expected = _clique_bdim(n)
-    return _bdim(cartesian(g, all_negative_complete(n))) == expected
+    return _bdim(cartesian(g, all_negative_complete(n))) == _clique_witness(n).k
 
 
 def _c5_holds(p: dict) -> bool:
@@ -313,7 +303,7 @@ def _c10_instances(trials: int, rng: random.Random):
 def _c10_holds(p: dict) -> bool:
     m, n = p["m"], p["n"]
     prod = hg_lex(all_negative_complete(m), all_negative_complete(n))
-    return _bdim(prod) == _clique_bdim(m * n)
+    return _bdim(prod) == _clique_witness(m * n).k
 
 
 def _c14_instances(trials: int, rng: random.Random):
@@ -345,10 +335,10 @@ def _c16_instances(trials: int, rng: random.Random):
 
 def _c16_holds(p: dict) -> bool:
     if p["kind"] == "strict":
-        return _c19_holds({"check": "tensor-collapse"}) and _clique_bdim(3) == 3
+        return _c19_holds({"check": "tensor-collapse"}) and _clique_witness(3).k == 3
     if p["kind"] == "equal":
         prod = tensor(all_negative_complete(3), all_positive_complete(3))
-        return _bdim(prod) == 3 == _clique_bdim(3)
+        return _bdim(prod) == 3 == _clique_witness(3).k
     g1, prod = _left_and_product("tensor", p)
     return _bdim(prod) <= _bdim(g1)
 
@@ -389,7 +379,7 @@ def _c19_holds(p: dict) -> bool:
             complete
             and is_antibalanced(g)
             and _bdim(g) == 3
-            and _clique_bdim(2) == 1
+            and _clique_witness(2).k == 1
         )
     if check == "tensor-collapse":
         prod = tensor(all_negative_complete(3), all_negative_complete(2))

@@ -1,7 +1,11 @@
 """Tabulated positive switchings and their expansion to explicit vertex maps."""
 
+import hashlib
+import json
+
 import pytest
 
+import sgraph
 from sgraph import (
     KSwitching,
     TableParameterError,
@@ -53,6 +57,43 @@ def test_expansion_repeats_class_vectors():
     assert w.vectors[4] == (0, 1)  # last column
     # the middle row run shares one vector per column class
     assert w.vectors[2 * 5 + 0] == w.vectors[3 * 5 + 0] == w.vectors[4 * 5 + 0] == (1, 1)
+
+
+# sha256 (first 16 hex digits) of json.dumps of [id, m, n, k, vectors] over
+# the cases below, recorded while tables 2-4 still expanded their grid each on
+# its own class split; a moved vector moves it
+_THREE_CLASS_DIGEST = "81154ac32598a08e"
+
+
+def test_three_class_tables_pinned():
+    cases = [(2, 3, n) for n in (4, 5, 6)] + [(3, m, 3) for m in (4, 5, 6)] + [(4, 3, 3)]
+    rows = []
+    for tid, m, n in cases:
+        w = table_witness(tid, m, n)
+        rows.append([tid, m, n, w.k, w.vectors])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == _THREE_CLASS_DIGEST
+
+
+def test_one_clique_search_per_order(monkeypatch):
+    # table 5's default base and every claim's K_n- dimension read one cached
+    # search: two C3 runs search orders 2, 3 and 4 once, then nothing, and a
+    # later table 5 call finds its base in the cache
+    searched = []
+
+    def counting(g, max_k=None):
+        if g == all_negative_complete(g.n):
+            searched.append(g.n)
+        return bdim_search(g, max_k=max_k)
+
+    for module in (sgraph.tables, sgraph.verify, sgraph.bdim):
+        monkeypatch.setattr(module, "bdim_search", counting)
+    sgraph.tables._clique_witness.cache_clear()
+    assert all(r.status == "pass" for r in sgraph.run_claims(["C3"]))
+    assert sorted(searched) == [2, 3, 4]
+    assert all(r.status == "pass" for r in sgraph.run_claims(["C3"]))
+    table_witness(5, 4, 3)
+    assert sorted(searched) == [2, 3, 4]
 
 
 def test_table_five_cyclic_assignment():
