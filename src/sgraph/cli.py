@@ -105,11 +105,7 @@ def _cmd_bdim(args) -> int:
     doc = _load_graph(args.file)
     if args.max_k is not None and args.max_k < 1:
         raise InputError(f"--max-k must be >= 1, got {args.max_k}")
-    try:
-        result = bdim_search(doc.graph, max_k=args.max_k)
-    except BdimCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = bdim_search(doc.graph, max_k=args.max_k)
     print(f"bdim = {result.dimension}")
     if args.witness:
         _write_text(args.witness, WitnessDocument(result.witness).to_json())

@@ -173,18 +173,19 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> SignedGraph:
     return SignedGraph(n, tuple(edge_list))
 
 
+def _complete(n: int, sign: int) -> SignedGraph:
+    _check_int("vertex count", n, GraphError, least=0)
+    return SignedGraph(n, tuple((u, v, sign) for u in range(n) for v in range(u + 1, n)))
+
+
 def all_positive_complete(n: int) -> SignedGraph:
     """Complete graph on n vertices, every edge positive."""
-    return SignedGraph(
-        n, tuple((u, v, 1) for u in range(n) for v in range(u + 1, n))
-    )
+    return _complete(n, 1)
 
 
 def all_negative_complete(n: int) -> SignedGraph:
     """Complete graph on n vertices, every edge negative."""
-    return SignedGraph(
-        n, tuple((u, v, -1) for u in range(n) for v in range(u + 1, n))
-    )
+    return _complete(n, -1)
 
 
 def antibalanced_complete(n: int) -> SignedGraph:
@@ -198,6 +199,7 @@ def antibalanced_complete(n: int) -> SignedGraph:
 
 def unbalanced_cycle(n: int) -> SignedGraph:
     """Cycle 0-1-...-(n-1)-0 with exactly the edge (0,1) negative."""
+    _check_int("vertex count", n, GraphError, least=0)
     if n < 3:
         raise GraphError(f"unbalanced_cycle needs order >= 3, got {n}")
     edges = [(0, 1, -1)]
@@ -208,6 +210,7 @@ def unbalanced_cycle(n: int) -> SignedGraph:
 
 def path_graph(n: int) -> SignedGraph:
     """All-positive path 0-1-...-(n-1)."""
+    _check_int("vertex count", n, GraphError, least=0)
     return SignedGraph(n, tuple((i, i + 1, 1) for i in range(n - 1)))
 
 

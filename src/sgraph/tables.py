@@ -33,12 +33,14 @@ _GRID_3 = (
 )
 
 
-def _four_classes(size: int) -> list[list[int]]:
-    return [[0], [1], list(range(2, size - 1)), [size - 1]]
+def _classes(size: int, count: int) -> list:
+    """The `count` row or column classes of a grid over `size` vertices: the
+    single vertices 0..count-3, the run up to size-2, then vertex size-1."""
+    return [[v] for v in range(count - 2)] + [range(count - 2, size - 1), [size - 1]]
 
 
-def _three_classes(size: int) -> list[list[int]]:
-    return [[0], list(range(1, size - 1)), [size - 1]]
+# what each cycle table needs of the orders, in the words of its refusal
+_CYCLE_NEEDS = {1: "m,n > 3", 2: "m = 3 and n > 3", 3: "m > 3 and n = 3", 4: "m = n = 3"}
 
 
 # cached for the process: table 5's default base and every K_n⁻ dimension a
@@ -51,14 +53,15 @@ def _clique_witness(m: int) -> KSwitching:
     return bdim_search(all_negative_complete(m)).witness
 
 
-def _expand(grid, row_classes, col_classes, m: int, n: int, k: int) -> KSwitching:
+def _expand(grid, m: int, n: int) -> KSwitching:
     vectors: list[tuple[int, ...] | None] = [None] * (m * n)
-    for row_vecs, rows in zip(grid, row_classes):
+    col_classes = _classes(n, len(grid))
+    for row_vecs, rows in zip(grid, _classes(m, len(grid))):
         for vec, cols in zip(row_vecs, col_classes):
             for i in rows:
                 for j in cols:
                     vectors[i * n + j] = vec
-    return KSwitching(k, vectors)
+    return KSwitching(len(grid[0][0]), vectors)
 
 
 def table_witness(
@@ -66,49 +69,37 @@ def table_witness(
 ) -> KSwitching:
     """Expand one of the tabulated positive switchings to an explicit vertex map.
 
-    Ids 1-4 target the product of one-negative cycles of orders m and n:
-    1 needs m,n > 3 (dimension 2); 2 needs m = 3, n > 3; 3 needs m > 3, n = 3;
-    4 needs m = n = 3 (dimension 3 each). Id 5 targets the product of
-    all-negative complete graphs and needs m >= n >= 1; the entry at (i, j)
-    is `base`'s vector at (i + j) mod m, where `base` is a positive switching
-    for the all-negative complete graph on m vertices, by default the
-    lex-least one that `bdim_search` finds, once per process. The id and
-    orders are exact ints.
+    Ids 1-4 target the product of one-negative cycles of orders m and n, and
+    the orders pick the one that fits, which the id must name: 1 for m,n > 3
+    (dimension 2); 2 for m = 3, n > 3; 3 for m > 3, n = 3; 4 for m = n = 3
+    (dimension 3 each). Id 5 targets the product of all-negative complete
+    graphs and needs m >= n >= 1; the entry at (i, j) is `base`'s vector at
+    (i + j) mod m, where `base` is a positive switching for the all-negative
+    complete graph on m vertices, by default the lex-least one that
+    `bdim_search` finds, once per process. The id and orders are exact ints.
     """
     if type(table_id) is not int:
         raise TableParameterError(f"table id must be an int, got {table_id!r}")
     if type(m) is not int or type(n) is not int:
         raise TableParameterError(f"table orders must be ints, got ({m!r},{n!r})")
-    if table_id == 1:
-        if not (m > 3 and n > 3):
-            raise TableParameterError(f"table 1 needs m,n > 3, got ({m},{n})")
-        return _expand(_GRID_2, _four_classes(m), _four_classes(n), m, n, 2)
-    if table_id == 5:
-        if not (1 <= n <= m):
-            raise TableParameterError(f"table 5 needs m >= n >= 1, got ({m},{n})")
-        if base is None:
-            base = _clique_witness(m)
-        elif len(base.vectors) != m or not is_k_positive(
-            all_negative_complete(m), base
-        ):
+    if table_id in _CYCLE_NEEDS:
+        fits = (1 if m > 3 and n > 3 else 2 if m == 3 < n else 3 if n == 3 < m
+                else 4 if m == n == 3 else None)
+        if table_id != fits:
             raise TableParameterError(
-                "table 5 base must be a positive switching for the "
-                f"all-negative complete graph on {m} vertices"
+                f"table {table_id} needs {_CYCLE_NEEDS[table_id]}, got ({m},{n})"
             )
-        vectors = tuple(
-            base.vectors[(i + j) % m] for i in range(m) for j in range(n)
-        )
-        return KSwitching(base.k, vectors)
-    # tables 2-4 are one grid over one class split, so only their orders differ
-    if table_id == 2:
-        if not (m == 3 and n > 3):
-            raise TableParameterError(f"table 2 needs m = 3 and n > 3, got ({m},{n})")
-    elif table_id == 3:
-        if not (m > 3 and n == 3):
-            raise TableParameterError(f"table 3 needs m > 3 and n = 3, got ({m},{n})")
-    elif table_id == 4:
-        if not (m == 3 and n == 3):
-            raise TableParameterError(f"table 4 needs m = n = 3, got ({m},{n})")
-    else:
+        return _expand(_GRID_2 if fits == 1 else _GRID_3, m, n)
+    if table_id != 5:
         raise TableParameterError(f"unknown table id {table_id}")
-    return _expand(_GRID_3, _three_classes(m), _three_classes(n), m, n, 3)
+    if not (1 <= n <= m):
+        raise TableParameterError(f"table 5 needs m >= n >= 1, got ({m},{n})")
+    if base is None:
+        base = _clique_witness(m)
+    elif not is_k_positive(all_negative_complete(m), base):
+        raise TableParameterError(
+            "table 5 base must be a positive switching for the "
+            f"all-negative complete graph on {m} vertices"
+        )
+    vectors = tuple(base.vectors[(i + j) % m] for i in range(m) for j in range(n))
+    return KSwitching(base.k, vectors)

@@ -146,6 +146,17 @@ def test_bdim_cap_exceeded_exits_one(tmp_path, capsys):
     assert "no positive switching" in capsys.readouterr().err
 
 
+def test_bdim_oracle_past_the_guard_exits_one(tmp_path, capsys):
+    # the search answers K5-, then the oracle refuses 3^(5*4) maps
+    g = tmp_path / "g.json"
+    main(["gen", "all-negative-complete", "5"])
+    g.write_text(capsys.readouterr().out)
+    assert main(["bdim", str(g), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "bdim = 5\n"
+    assert captured.err == "error: 3^(5*4) assignments exceed the enumeration guard\n"
+
+
 def test_bdim_max_k_below_one_is_input_error(tmp_path, capsys):
     g = tmp_path / "g.json"
     main(["gen", "antibalanced-complete", "3"])
@@ -245,6 +256,49 @@ def test_witness_table_five_checks_orders_before_searching(m, n, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.err == f"error: table 5 needs m >= n >= 1, got ({m},{n})\n"
     assert captured.out == ""
+
+
+_C3_SQUARE_DOT = """\
+graph "cartesian(unbalanced-cycle-3,unbalanced-cycle-3)" {
+  0 [label="0,0"];
+  1 [label="0,1"];
+  2 [label="0,2"];
+  3 [label="1,0"];
+  4 [label="1,1"];
+  5 [label="1,2"];
+  6 [label="2,0"];
+  7 [label="2,1"];
+  8 [label="2,2"];
+  0 -- 1 [style=dashed];
+  0 -- 2 [style=solid];
+  0 -- 3 [style=dashed];
+  0 -- 6 [style=solid];
+  1 -- 2 [style=solid];
+  1 -- 4 [style=dashed];
+  1 -- 7 [style=solid];
+  2 -- 5 [style=dashed];
+  2 -- 8 [style=solid];
+  3 -- 4 [style=dashed];
+  3 -- 5 [style=solid];
+  3 -- 6 [style=solid];
+  4 -- 5 [style=solid];
+  4 -- 7 [style=solid];
+  5 -- 8 [style=solid];
+  6 -- 7 [style=dashed];
+  6 -- 8 [style=solid];
+  7 -- 8 [style=solid];
+}
+"""
+
+
+def test_export_dot_writes_vertex_labels(tmp_path, capsys):
+    c3, square = tmp_path / "c3.json", tmp_path / "square.json"
+    main(["gen", "unbalanced-cycle", "3"])
+    c3.write_text(capsys.readouterr().out)
+    main(["product", "cartesian", str(c3), str(c3)])
+    square.write_text(capsys.readouterr().out)
+    assert main(["export-dot", str(square)]) == 0
+    assert capsys.readouterr().out == _C3_SQUARE_DOT
 
 
 def test_export_dot_is_deterministic(capsys, monkeypatch):

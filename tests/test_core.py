@@ -139,6 +139,18 @@ def test_unbalanced_cycle_needs_order_three():
         unbalanced_cycle(2)
 
 
+@pytest.mark.parametrize(
+    "builder",
+    [all_positive_complete, all_negative_complete, antibalanced_complete,
+     unbalanced_cycle, path_graph, null_graph],
+)
+def test_generators_refuse_non_int_orders(builder):
+    # a typed refusal before any range() or comparison sees the order
+    for order in (4.0, "3", None, True):
+        with pytest.raises(GraphError, match="^vertex count must be an int, got "):
+            builder(order)
+
+
 def test_negate_examples():
     assert negate(all_positive_complete(3)) == all_negative_complete(3)
     c4 = negate(unbalanced_cycle(4))

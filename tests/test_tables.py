@@ -75,6 +75,30 @@ def test_three_class_tables_pinned():
     assert digest == _THREE_CLASS_DIGEST
 
 
+# sha256 (first 16 hex digits) of json.dumps of the rows below over ids 0-4
+# and 6 with both orders in 2..12, recorded while tables 1-4 each checked
+# their own orders and split their grids with a four- or three-class helper
+_CYCLE_ACCEPTED_DIGEST = "b3eb7b67d1d4c809"  # 100 [id, m, n, k, vectors] rows
+_CYCLE_REFUSED_DIGEST = "afd6ac5ab00273f8"  # 626 [id, m, n, message] rows
+
+
+def test_cycle_tables_and_refusals_pinned():
+    accepted, refused = [], []
+    for tid in (0, 1, 2, 3, 4, 6):
+        for m in range(2, 13):
+            for n in range(2, 13):
+                try:
+                    w = table_witness(tid, m, n)
+                except TableParameterError as exc:
+                    refused.append([tid, m, n, str(exc)])
+                else:
+                    accepted.append([tid, m, n, w.k, w.vectors])
+    assert (len(accepted), len(refused)) == (100, 626)
+    for rows, digest in ((accepted, _CYCLE_ACCEPTED_DIGEST), (refused, _CYCLE_REFUSED_DIGEST)):
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
+    assert [2, 3, 3, "table 2 needs m = 3 and n > 3, got (3,3)"] in refused
+
+
 def test_one_clique_search_per_order(monkeypatch):
     # table 5's default base and every claim's K_n- dimension read one cached
     # search: two C3 runs search orders 2, 3 and 4 once, then nothing, and a

@@ -1,6 +1,7 @@
 """The claim engine: selection, determinism, budgets, and self-certifying
 counterexamples."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -239,3 +240,21 @@ def test_mutated_payloads_leave_later_streams_unchanged():
         payloads = _stream(cid, 0)
         assert (len(payloads), _digest(payloads)) == _STREAMS[0][cid], cid
 
+
+
+def test_first_failing_payload_stops_its_claim(monkeypatch):
+    # C2 fails on its third payload: the run checks no further C2 payload,
+    # reports that one as the counterexample and still runs C5
+    seen = []
+
+    def holds(payload):
+        seen.append(payload)
+        return len(seen) != 3
+
+    claim = dataclasses.replace(verify._REGISTRY["C2"], holds=holds)
+    monkeypatch.setitem(verify._REGISTRY, "C2", claim)
+    c2, c5 = run_claims(["C2", "C5"])
+    assert (c2.status, c2.instances_checked, len(seen)) == ("fail", 3, 3)
+    assert c2.counterexample == _stream("C2", 0)[2]
+    assert "counterexample: " in format_report(c2)
+    assert (c5.claim_id, c5.status) == ("C5", "pass")
