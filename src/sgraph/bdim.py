@@ -203,27 +203,28 @@ def _sign_masks(
 def _search_component(
     g: SignedGraph, k: int
 ) -> tuple[list[tuple[int, ...]] | None, int]:
-    """First (lex-least) k-positive assignment on one component, or None.
+    """First (lex-least) k-positive assignment, or None.
 
-    g is connected and labelled in BFS order from vertex 0, so every vertex
-    after the root has an earlier neighbour. Vertices are assigned in label
-    order from the vectors of {-1,0,1}^k, candidates tried in lexicographic
-    order (-1 < 0 < 1); the root takes only canonical vectors. Each vertex
-    keeps a bitset domain of the candidates that give every edge back to an
-    assigned vertex a positive switched sign. Assigning a candidate narrows
-    the domains of later neighbours (undone through a trail on backtrack),
-    and the candidate is rejected as soon as one of them empties. This cuts
-    only branches without a completion, so the first full assignment is the
-    same lex-least one a plain backtracking search finds.
+    g's components are consecutive, each in BFS order from its root, the one
+    vertex with no earlier neighbour. Vertices are assigned in label order from
+    the vectors of {-1,0,1}^k, candidates tried in lexicographic order
+    (-1 < 0 < 1). A root takes only canonical vectors; components share no
+    edge, so the search never backtracks past a root but ends with None. Each
+    vertex keeps a bitset domain of the candidates that give every edge back
+    to an assigned vertex a positive switched sign. Assigning a candidate
+    narrows the domains of later neighbours (undone through a trail on
+    backtrack), and the candidate is rejected as soon as one of them empties.
+    This cuts only branches without a completion, so the first full
+    assignment is the same lex-least one a plain backtracking search finds.
     The zero vector is a candidate too, in no sign mask and not canonical, so
-    BFS labelling is also what keeps it out: every vertex after the root
-    loses it from its domain when its earlier neighbour is assigned.
-    A vertex p >= 1 also skips candidates with +1 in a coordinate that is
-    zero on every vertex before it. Flipping that coordinate's sign on all
-    vertices fixes the root's canonical vector and every vector before p,
-    keeps every inner product, so maps a positive assignment to a positive
-    one, and makes p's vector lex-smaller: the lex-least assignment never
-    has such a +1, and the rule cuts nothing a plain search would return.
+    BFS labelling is also what keeps it out: every vertex but a root loses
+    it from its domain when its earlier neighbour is assigned.
+    A vertex p that is no root also skips candidates with +1 in a coordinate of
+    Z, those zero on every earlier vertex of p's own component. Flipping that
+    coordinate on the component fixes its root's canonical vector and every
+    vector before p, keeps every inner product, so maps a positive assignment to
+    a positive one, and makes p's vector lex-smaller: the lex-least assignment
+    never has such a +1, and the rule cuts nothing a plain search would return.
     Arrival rule: when p is reached, each later neighbour q whose domain is
     one candidate j keeps p's candidates to masks[j], those whose sign with
     j fits the edge. Inner products are symmetric, so these are exactly the
@@ -235,16 +236,16 @@ def _search_component(
     Returns (vectors indexed by vertex, candidates tried).
     """
     cands, neg, pos, root, zeros, allowed = _sign_masks(k)
-    by_sign = {-1: neg, 1: pos}
     nvert = g.n
     ahead = [[] for _ in range(nvert)]  # (later neighbour, masks) in label order
+    first = [True] * nvert  # no earlier neighbour: a component root
     for u, v, s in g.edges:  # sorted, u < v
-        ahead[u].append((v, by_sign[s]))
+        ahead[u].append((v, neg if s < 0 else pos))
+        first[v] = False
     domain = [(1 << len(cands)) - 1] * nvert
-    untried = [0] * nvert  # candidates of the domain not yet tried at p
-    untried[0] = root
+    untried = [root if f else 0 for f in first]  # not yet tried at p; a root is reached once
     marks = [0] * nvert  # trail length when p was reached
-    zero = [(1 << k) - 1] * nvert  # coordinates zero on every vertex before p
+    zero = [(1 << k) - 1] * nvert  # coordinates zero on p's component before p
     assign = [0] * nvert
     trail: list[tuple[int, int]] = []
     tried = 0
@@ -255,7 +256,7 @@ def _search_component(
             domain[q] = before
         bits = untried[p]
         if not bits:
-            if p == 0:
+            if first[p]:  # earlier components share no edge with this one
                 return None, tried
             p -= 1
             continue
@@ -277,6 +278,8 @@ def _search_component(
             if p == nvert:
                 return [cands[i] for i in assign], tried
             marks[p] = len(trail)
+            if first[p]:  # its candidates and a full Z were set up front
+                continue
             zero[p] = z = zero[p - 1] & zeros[i]
             bits = domain[p] & allowed[z]
             for q, masks in ahead[p]:
@@ -297,13 +300,12 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     """Least k admitting a k-positive switching, with a witness.
 
     A graph that the BFS pass's spanning-forest switching leaves all-positive
-    is balanced and answered at k = 1 with it. Otherwise each component with
-    an edge is relabelled in BFS order, and each k = 2, 3, ... searches every
-    component in turn; the first that has no k-switching ends the rung. The
-    first k at which every component succeeds is the dimension, and their
-    witnesses at k are the answer. Components that switching leaves
-    all-positive are balanced, so they come last and are searched only at
-    that final k. Isolated vertices get the canonical vector (1,0,...,0).
+    is balanced and answered at k = 1 with it. Otherwise one relabelled copy
+    holds the components with an edge end to end, each in BFS order, and
+    each k = 2, 3, ... is one search of it, ended by the first component
+    with no k-switching. Components that switching leaves all-positive are
+    balanced, so they come last and are reached only at the final k.
+    Isolated vertices get the canonical vector (1,0,...,0).
     Raises BdimCapExceededError when no dimension up to max_k works. The
     default, the edge count, is a true cap: one private coordinate per edge
     always yields a positive switching.
@@ -313,21 +315,17 @@ def bdim_search(g: SignedGraph, max_k: int | None = None) -> BdimResult:
     frustrated = {u for u, v, s in g.edges if zeta[u] * s != zeta[v]}
     if not frustrated:
         return BdimResult(1, KSwitching.from_scalar(zeta), g.n)
-    orders = sorted(
-        (order for order in components(g) if len(order) > 1), key=frustrated.isdisjoint
-    )
-    subs = [(order, induced_subgraph(g, order)) for order in orders]
+    parts = sorted(components(g), key=frustrated.isdisjoint)
+    order = [v for part in parts if len(part) > 1 for v in part]
+    sub = induced_subgraph(g, order)
     explored = g.n
     for k in range(2, cap + 1):
-        vectors = [(1,) + (0,) * (k - 1)] * g.n  # kept by isolated vertices
-        for order, sub in subs:
-            vecs, tried = _search_component(sub, k)
-            explored += tried
-            if vecs is None:
-                break
+        vecs, tried = _search_component(sub, k)
+        explored += tried
+        if vecs is not None:
+            vectors = [(1,) + (0,) * (k - 1)] * g.n  # kept by isolated vertices
             for v, vec in zip(order, vecs):
                 vectors[v] = vec
-        else:
             return BdimResult(k, KSwitching(k, vectors), explored)
     raise BdimCapExceededError(cap)
 

@@ -586,10 +586,12 @@ def run_claims(
     """Run the selected claims and return one report per claim.
 
     Selection is "all", one claim id or a non-empty iterable of ids. Reports
-    come back in registry (claim-id) order regardless of selection order. A
-    fixed seed gives identical instance streams across runs. Trials, an int
-    >= 0, replaces every selected claim's own trial count; 0 skips them.
+    come back in registry (claim-id) order whatever the selection order. A
+    fixed seed, an exact int, gives identical instance streams across runs.
+    Trials, an int >= 0, replaces each selected claim's trial count; 0 skips.
     """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if trials is not None and (type(trials) is not int or trials < 0):
         raise ValueError(f"trial count must be an int >= 0, got {trials!r}")
     if selection == "all":

@@ -29,6 +29,7 @@ from sgraph import (
     cartesian,
     has_k_positive_bruteforce,
     hg_lex,
+    induced_subgraph,
     inner_sign,
     is_balanced,
     is_k_positive,
@@ -224,24 +225,42 @@ def test_bdim_union_of_balanced_unbalanced_and_isolated_parts():
     assert err.value.max_k == 2
 
 
-def test_balanced_components_of_unbalanced_graphs_are_not_searched_at_k1(monkeypatch):
-    # the triangle on {0, 3, 5} is balanced: its k = 1 comes from the balance
-    # test's forest, and only the final dimension searches it
-    g = build_graph(
-        7, [(0, 3, -1), (3, 5, 1), (0, 5, -1), (1, 4, -1), (4, 6, -1), (1, 6, -1)]
-    )
+def _record_searches(monkeypatch) -> list:
+    """Record (sub.n, k, no switching, candidates tried) per search call."""
     searched = []
     search_component = sgraph.bdim._search_component
 
     def recording(sub, k):
-        searched.append((sub.edges, k))
-        return search_component(sub, k)
+        vectors, tried = search_component(sub, k)
+        searched.append((sub.n, k, vectors is None, tried))
+        return vectors, tried
 
     monkeypatch.setattr(sgraph.bdim, "_search_component", recording)
-    assert bdim_search(g).dimension == 3
-    assert all(k >= 2 for _, k in searched)
-    balanced = ((0, 1, -1), (0, 2, -1), (1, 2, 1))
-    assert [k for edges, k in searched if edges == balanced] == [3]
+    return searched
+
+
+def test_balanced_components_of_unbalanced_graphs_are_not_searched_at_k1(monkeypatch):
+    # the triangle on {0, 3, 5} is balanced: its k = 1 comes from the balance
+    # test's forest, and it sits after the all-negative triangle on {1, 4, 6}
+    # in the one copy searched per k, so k = 2 ends at the latter and tries
+    # exactly its candidates; only the final dimension reaches the former
+    g = build_graph(
+        7, [(0, 3, -1), (3, 5, 1), (0, 5, -1), (1, 4, -1), (4, 6, -1), (1, 6, -1)]
+    )
+    search_component = sgraph.bdim._search_component
+    frustrated, balanced = (induced_subgraph(g, order) for order in ([1, 4, 6], [0, 3, 5]))
+    own = {
+        (sub, k): search_component(sub, k)[1] for sub in (frustrated, balanced) for k in (2, 3)
+    }
+    searched = _record_searches(monkeypatch)
+    result = bdim_search(g)
+    assert result.dimension == 3
+    assert searched == [
+        (6, 2, True, own[frustrated, 2]),
+        (6, 3, False, own[frustrated, 3] + own[balanced, 3]),
+    ]
+    assert searched == [(6, 2, True, 7), (6, 3, False, 6)]
+    assert result.explored == g.n + 7 + 6 == 20
     searched.clear()
     with pytest.raises(BdimCapExceededError) as err:
         bdim_search(g, max_k=1)
@@ -250,18 +269,44 @@ def test_balanced_components_of_unbalanced_graphs_are_not_searched_at_k1(monkeyp
 
 
 def test_one_rung_per_k_ends_at_the_first_component_without_a_switching(monkeypatch):
-    # two copies of K4- (dimension 3): k = 2 stops at the first copy, and
-    # k = 3 searches both once; no component is searched again
-    searched = []
-    search_component = sgraph.bdim._search_component
+    # two copies of K4- (dimension 3) in one search per k: k = 2 ends at the
+    # first copy with its own count, and k = 3 tries each copy's own count
+    # once; the witness is the copy's own witness twice
+    k4 = all_negative_complete(4)
+    own = {k: sgraph.bdim._search_component(k4, k) for k in (2, 3)}
+    searched = _record_searches(monkeypatch)
+    result = bdim_search(hg_lex(null_graph(2), k4))
+    assert result.dimension == 3
+    assert searched == [(8, 2, True, own[2][1]), (8, 3, False, 2 * own[3][1])]
+    assert searched == [(8, 2, True, 7), (8, 3, False, 36)]
+    assert result.explored == 8 + 7 + 36 == 51
+    assert list(result.witness.vectors) == 2 * own[3][0]
 
-    def recording(sub, k):
-        searched.append((sub.n, k))
-        return search_component(sub, k)
 
-    monkeypatch.setattr(sgraph.bdim, "_search_component", recording)
-    assert bdim_search(hg_lex(null_graph(2), all_negative_complete(4))).dimension == 3
-    assert searched == [(4, 2), (4, 3), (4, 3)]
+def test_search_component_on_consecutive_components():
+    # components laid end to end, each in BFS order: every root takes only
+    # canonical vectors and the search never backtracks into an earlier
+    # component, so its answer is the parts' own ones joined, or None when
+    # one part has none, and it tries each part's own count up to that part
+    rng = random.Random(17)
+    for i in range(200):
+        parts = [
+            helpers.bfs_relabelled(sgraph.verify._random_connected(rng, rng.randint(2, 6)))
+            for _ in range(2 + i % 3)
+        ]
+        if i % 7 == 0:
+            parts[rng.randrange(len(parts))] = all_negative_complete(4)
+        edges, base = [], 0
+        for part in parts:
+            edges += [(base + u, base + v, s) for u, v, s in part.edges]
+            base += part.n
+        whole = build_graph(base, edges)
+        for k in (1, 2, 3):
+            expected = [helpers.reference_first_switching(part, k) for part in parts]
+            joined = None if None in expected else [vec for vecs in expected for vec in vecs]
+            reached = parts[: expected.index(None) + 1] if None in expected else parts
+            own = sum(sgraph.bdim._search_component(part, k)[1] for part in reached)
+            assert sgraph.bdim._search_component(whole, k) == (joined, own), (whole, k)
 
 
 @pytest.mark.parametrize("route", [bdim_search, bdim_oracle], ids=["search", "oracle"])

@@ -96,6 +96,27 @@ def test_negative_trial_override_is_rejected():
             run_claims(["C1"], trials=trials)
 
 
+def test_seed_must_be_an_exact_int(monkeypatch):
+    # streams are named f"{seed}:{cid}", so True, 1.0 and "1" would name other
+    # streams than 1; each is refused before any claim draws an instance
+    claim = verify._REGISTRY["C4"]
+    drawn = []
+
+    def instances(trials, rng):
+        drawn.append(rng)
+        return claim.instances(trials, rng)
+
+    monkeypatch.setitem(verify._REGISTRY, "C4", dataclasses.replace(claim, instances=instances))
+    for seed, shown in ((True, "True"), (1.0, r"1\.0"), ("1", "'1'"), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^seed must be an int, got {shown}$") as err:
+            run_claims(["C4"], seed=seed)
+        assert type(err.value) is ValueError
+    assert drawn == []
+    # negative seeds stay valid: the console takes --seed -1
+    (report,) = run_claims(["C4"], seed=-1, trials=3)
+    assert (report.status, report.instances_checked, len(drawn)) == ("pass", 3, 1)
+
+
 def test_counterexamples_recheck_standalone():
     # a true instance passes, a doctored expectation reproduces its failure
     true_payload = {"kind": "bdim", "m": 3, "n": 3, "expected": 3}
