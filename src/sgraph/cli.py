@@ -36,7 +36,8 @@ from .core import (
 from .documents import DocumentError, GraphDocument, WitnessDocument, to_dot
 from .products import PRODUCT_KINDS, pair_labels, product
 from .tables import TableParameterError, table_witness
-from .verify import UnknownClaimError, format_report, report_record, run_claims
+from .verify import (FAIL, PASS, SKIPPED, UnknownClaimError, format_report, report_record,
+                     run_claims)
 
 FAMILIES = {
     "all-positive-complete": all_positive_complete,
@@ -73,16 +74,18 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _choose(choices: dict, name: str, what: str):
+    if name not in choices:
+        raise InputError(f"unknown {what} {name!r}; choose from {', '.join(sorted(choices))}")
+    return choices[name]
+
+
 def _load_graph(path: str) -> GraphDocument:
     return GraphDocument.from_json(_read_text(path))
 
 
 def _cmd_gen(args) -> int:
-    builder = FAMILIES.get(args.family)
-    if builder is None:
-        raise InputError(
-            f"unknown family {args.family!r}; choose from {', '.join(sorted(FAMILIES))}"
-        )
+    builder = _choose(FAMILIES, args.family, "family")
     if args.order < 1:
         raise InputError(f"{args.family} needs order >= 1, got {args.order}")
     graph = builder(args.order)
@@ -122,11 +125,7 @@ def _cmd_bdim(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    kind = CLI_PRODUCTS.get(args.kind)
-    if kind is None:
-        raise InputError(
-            f"unknown product kind {args.kind!r}; choose from {', '.join(sorted(CLI_PRODUCTS))}"
-        )
+    kind = _choose(CLI_PRODUCTS, args.kind, "product kind")
     d1, d2 = _load_graph(args.file1), _load_graph(args.file2)
     graph = product(kind, d1.graph, d2.graph)
     name = f"{args.kind}({d1.name or 'a'},{d2.name or 'b'})"
@@ -168,10 +167,10 @@ def _cmd_verify(args) -> int:
     if args.json:
         _write_text(args.json, json.dumps([report_record(r) for r in reports], indent=1))
     statuses = [r.status for r in reports]
-    passed, skipped = statuses.count("pass"), statuses.count("skipped")
+    passed, skipped = statuses.count(PASS), statuses.count(SKIPPED)
     summary = f"{passed}/{len(reports)} claims passed"
     print(f"{summary}, {skipped} skipped" if skipped else summary)
-    return 1 if "fail" in statuses else 0
+    return 1 if FAIL in statuses else 0
 
 
 def _cmd_export_dot(args) -> int:

@@ -17,17 +17,31 @@ class DocumentError(ValueError):
     """Document text does not match the expected schema."""
 
 
-def _load_object(text: str, what: str, keys: set[str]) -> dict:
+def _load_object(text: str, what: str, count: str, rows: str, shape: str, optional=()) -> dict:
+    """The parsed document, once it is a JSON object of known keys whose
+    `count` field is an int and whose `rows` field is a list. Parsed JSON
+    holds only exact types, so `type(x) is int` never admits a bool."""
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must be a JSON object")
-    unknown = set(raw) - keys
+    unknown = set(raw) - {count, rows, *optional}
     if unknown:
         raise DocumentError(f"unknown {what} keys: {sorted(unknown)}")
+    if type(raw.get(count)) is not int:
+        raise DocumentError(f'"{count}" must be an integer')
+    if type(raw.get(rows)) is not list:
+        raise DocumentError(f'"{rows}" must be a list of {shape}')
     return raw
+
+
+def _refuse_bad_row(rows: list, entry: str, width: int | None = None) -> None:
+    """Refuse the first row that is not a list of ints, of `width` ints when given."""
+    for row in rows:
+        if type(row) is not list or {*map(type, row)} - {int} or width not in (None, len(row)):
+            raise DocumentError(f"bad {entry} entry {row!r}") from None
 
 
 def _rows_json(rows) -> str:
@@ -39,17 +53,6 @@ def _rows_json(rows) -> str:
     row = "[\n   " + ",\n   ".join(["%d"] * len(rows[0])) + "\n  ]"
     text = "[\n  " + ",\n  ".join([row] * len(rows)) + "\n ]"
     return text % tuple(chain.from_iterable(rows))
-
-
-def _int_rows(rows: list, width: int | None = None) -> bool:
-    """Whether every entry of a parsed list is a list of ints, each of
-    `width` ints when given. Parsed JSON holds only exact types, so an exact
-    int is never a bool."""
-    return (
-        set(map(type, rows)) <= {list}
-        and (width is None or set(map(len, rows)) <= {width})
-        and set(map(type, chain.from_iterable(rows))) <= {int}
-    )
 
 
 def _checked_fields(name, labels) -> tuple[str, ...] | None:
@@ -93,22 +96,15 @@ class GraphDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDocument":
-        raw = _load_object(text, "graph document", {"n", "edges", "name", "vertex_labels"})
-        n = raw.get("n")
-        edges = raw.get("edges")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise DocumentError('"n" must be an integer')
-        if not isinstance(edges, list):
-            raise DocumentError('"edges" must be a list of [u, v, sign] triples')
+        raw = _load_object(text, "graph document", "n", "edges", "[u, v, sign] triples",
+                           ("name", "vertex_labels"))
         # SignedGraph takes only exact-int triples, so the rows go to it as
         # parsed and are looked at only when it refuses them: a bad row is
         # named at once, and a graph error waits for the name and labels
         try:
-            graph = SignedGraph(n, edges)
+            graph = SignedGraph(raw["n"], raw["edges"])
         except (TypeError, ValueError):
-            if not _int_rows(edges, 3):
-                bad = next(e for e in edges if not _int_rows([e], 3))
-                raise DocumentError(f"bad edge entry {bad!r}") from None
+            _refuse_bad_row(raw["edges"], "edge", 3)
             _checked_fields(raw.get("name"), raw.get("vertex_labels"))
             raise
         return cls(graph, raw.get("name"), raw.get("vertex_labels"))
@@ -127,20 +123,12 @@ class WitnessDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessDocument":
-        raw = _load_object(text, "witness document", {"k", "zeta"})
-        k = raw.get("k")
-        zeta = raw.get("zeta")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise DocumentError('"k" must be an integer')
-        if not isinstance(zeta, list):
-            raise DocumentError('"zeta" must be a list of vectors')
+        raw = _load_object(text, "witness document", "k", "zeta", "vectors")
         # as for graph rows: the vectors are looked at only when refused
         try:
-            switching = KSwitching(k, zeta)
+            switching = KSwitching(raw["k"], raw["zeta"])
         except (TypeError, ValueError) as exc:
-            if not _int_rows(zeta):
-                bad = next(vec for vec in zeta if not _int_rows([vec]))
-                raise DocumentError(f"bad vector entry {bad!r}") from None
+            _refuse_bad_row(raw["zeta"], "vector")
             raise DocumentError(str(exc)) from exc
         return cls(switching)
 

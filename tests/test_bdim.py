@@ -338,6 +338,12 @@ def test_bdim_cap_one_refuses_unbalanced_graph():
     assert err.value.max_k == 1
 
 
+def test_oracle_cap_one_refuses_unbalanced_graph():
+    with pytest.raises(BdimCapExceededError) as err:
+        bdim_oracle(unbalanced_cycle(3), max_k=1)
+    assert err.value.max_k == 1
+
+
 def test_bdim_witness_is_always_positive():
     rng = random.Random(29)
     for _ in range(40):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -42,6 +43,23 @@ def test_gen_emits_graph_document(capsys):
 def test_gen_unknown_family_is_input_error(capsys):
     assert main(["gen", "moebius", "5"]) == 2
     assert "unknown family" in capsys.readouterr().err
+
+
+def test_unknown_names_are_refused_with_their_choices(tmp_path, capsys):
+    assert main(["gen", "zigzag", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown family 'zigzag'; choose from all-negative-complete, "
+        "all-positive-complete, antibalanced-complete, null-graph, path-all-positive, "
+        "unbalanced-cycle\n"
+    )
+    a = tmp_path / "a.json"
+    main(["gen", "unbalanced-cycle", "3"])
+    a.write_text(capsys.readouterr().out)
+    assert main(["product", "zigzag", str(a), str(a)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown product kind 'zigzag'; choose from bcd-lex, cartesian, hg-lex, "
+        "strong, tensor\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -181,6 +199,19 @@ def test_internal_fault_propagates(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "bdim_search", broken_search)
     with pytest.raises(DimensionMismatchError):
         main(["bdim", str(g)])
+
+
+def test_bdim_oracle_disagreement_fails(tmp_path, capsys, monkeypatch):
+    import sgraph.cli as cli_module
+
+    g = tmp_path / "g.json"
+    main(["gen", "antibalanced-complete", "3"])
+    g.write_text(capsys.readouterr().out)
+    monkeypatch.setattr(cli_module, "bdim_oracle", lambda graph, max_k=None: 4)
+    assert main(["bdim", str(g), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("bdim = 3\n")
+    assert captured.err == "error: oracle disagrees: search=3 oracle=4\n"
 
 
 def test_product_carries_pair_labels(tmp_path, capsys):
@@ -373,6 +404,23 @@ def test_trials_help_names_the_claims_sized_by_the_count(capsys):
     assert main(["verify", "--help"]) == 0
     help_text = capsys.readouterr().out.split("--trials TRIALS")[-1]
     assert re.findall(r"\bC\d+\b", help_text) == sized
+
+
+def test_help_and_readme_name_the_claims_sized_by_the_count(capsys):
+    counts = {}
+    for trials in (2, 3):
+        counts[trials] = [r.instances_checked for r in run_claims(trials=trials)]
+    sized = [cid for cid, a, b in zip(CLAIM_IDS, counts[2], counts[3]) if a != b]
+    assert main(["verify", "--help"]) == 0
+    help_text = capsys.readouterr().out.split("--trials TRIALS")[-1]
+    assert re.findall(r"\bC\d+\b", help_text) == sized
+    # the README writes runs of ids as ranges, C11–C14
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    listed = re.search(r"only (C[^|]*?) size their random instances", readme).group(1)
+    named = []
+    for first, last in re.findall(r"C(\d+)(?:–C(\d+))?", listed):
+        named += [f"C{i}" for i in range(int(first), int(last or first) + 1)]
+    assert named == sized
 
 
 def test_verify_summary_counts_skipped_claims_apart(capsys):

@@ -276,3 +276,9 @@ def test_antibalance_transport_exhaustive():
                 continue
             for g2 in (NEG_K2, negate(P3)):
                 assert is_antibalanced(hg_lex(g1, g2))
+
+
+def test_unknown_product_kind_is_refused():
+    with pytest.raises(ValueError) as err:
+        product("zigzag", C3, C3)
+    assert str(err.value) == "unknown product kind 'zigzag'"

@@ -125,6 +125,21 @@ def test_counterexamples_recheck_standalone():
     assert recheck_counterexample("C2", broken_payload) is False
 
 
+def test_c6_recheck_fails_when_the_dimension_stays_within_the_cap():
+    # with no negative edge in g2 the product stays balanced, so the bound fails
+    payload = {
+        "g1": {"n": 3, "edges": [[0, 1, 1], [1, 2, 1]]},
+        "g2": {"n": 2, "edges": [[0, 1, 1]]},
+    }
+    assert recheck_counterexample("C6", payload) is False
+
+
+def test_c19_recheck_refuses_an_unknown_check():
+    with pytest.raises(ValueError) as err:
+        recheck_counterexample("C19", {"check": "nope"})
+    assert str(err.value) == "unknown check 'nope'"
+
+
 def test_report_records_are_json_serializable():
     reports = run_claims(["C19"])
     records = [report_record(r) for r in reports]
