@@ -135,8 +135,8 @@ def is_k_positive(g: SignedGraph, z: KSwitching) -> bool:
 class BdimResult:
     """Computed balancing dimension with a validating witness.
 
-    `explored` counts candidate vector assignments tried; candidates that
-    the search prunes before trying them are not counted. Diagnostic only.
+    `explored` is g.n, one balance-pass value per vertex, plus the candidate
+    vectors the search tried (pruned ones not counted). Diagnostic only.
     """
 
     dimension: int

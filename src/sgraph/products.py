@@ -1,8 +1,8 @@
-"""Five products of signed graphs sharing one vertex-pair flattening convention.
+"""Five products of signed graphs, each a sum of terms.
 
-A product of factors on n1 and n2 vertices lives on n1*n2 vertices; the pair
-(i, j) maps to the flat id i*n2 + j. The five constructions differ in which
-pairs are adjacent and in how factor signs combine.
+Over factors on n1 and n2 vertices the pair (i, j) is the flat vertex i*n2 + j.
+A term pairs relations on g1 and g2, lists of (a, b, sign) triples; it joins
+(i,j) to (k,l) with sign s * t for each (i, k, s) on g1 and (j, l, t) on g2.
 """
 
 from .core import SignedGraph
@@ -21,46 +21,39 @@ def pair_labels(n1: int, n2: int) -> tuple[str, ...]:
     return tuple(f"{i},{j}" for i in range(n1) for j in range(n2))
 
 
-def _layers(g1: SignedGraph, g2: SignedGraph) -> list:
-    """g1's edges copied onto every second coordinate j: (i,j) ~ (k,j)."""
-    n2 = g2.n
-    return [(u * n2 + j, v * n2 + j, s) for j in range(n2) for u, v, s in g1.edges]
+def _same(g: SignedGraph) -> list:
+    """Each vertex related to itself, sign +1."""
+    return [(v, v, 1) for v in range(g.n)]
 
 
-def _fibres(g1: SignedGraph, g2: SignedGraph) -> list:
-    """g2's edges copied onto every first coordinate i: (i,j) ~ (i,l)."""
-    n2 = g2.n
-    return [(i * n2 + u, i * n2 + v, s) for i in range(g1.n) for u, v, s in g2.edges]
+def _both_ways(g: SignedGraph) -> list:
+    """Each edge in both directions, with its sign."""
+    return [*g.edges, *((v, u, s) for u, v, s in g.edges)]
 
 
-def _cross(g1: SignedGraph, g2: SignedGraph) -> list:
-    """(i,j) ~ (k,l) and (i,l) ~ (k,j) for i ~ k and j ~ l, signed s1 * s2."""
-    n2 = g2.n
-    edges = []
-    for i, k, s1 in g1.edges:
-        for j, l, s2 in g2.edges:
-            edges.append((i * n2 + j, k * n2 + l, s1 * s2))
-            edges.append((i * n2 + l, k * n2 + j, s1 * s2))
-    return edges
+def _full(g: SignedGraph, signs=()) -> list:
+    """Every ordered vertex pair, equal pairs too, with its sign in `signs` or +1."""
+    sign = {(a, b): s for a, b, s in signs}
+    return [(a, b, sign.get((a, b), 1)) for a in range(g.n) for b in range(g.n)]
 
 
-def _lex(g1: SignedGraph, g2: SignedGraph, table: list[list[int]]) -> SignedGraph:
-    """Lexicographic product: the fibres, plus (i,j) ~ (k,l) for every i ~ k
-    with sign s(i,k) * table[j][l]."""
+def _product(g1: SignedGraph, g2: SignedGraph, *terms) -> SignedGraph:
+    """The sum of the terms, each a (g1 relation, g2 relation) pair."""
     n2 = g2.n
     edges = [
-        (ij, kl, s * t)
-        for i, k, s in g1.edges
-        for ij, row in enumerate(table, i * n2)
-        for kl, t in enumerate(row, k * n2)
+        (a + j, b + l, s * t)
+        for left, right in terms
+        for i, k, s in left
+        for a, b in ((i * n2, k * n2),)  # multiply once per left pair, not per entry
+        for j, l, t in right
     ]
-    return SignedGraph(g1.n * n2, tuple(edges + _fibres(g1, g2)))
+    return SignedGraph(g1.n * n2, edges)
 
 
 def cartesian(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     """(i,j) ~ (k,l) when the pairs agree in one coordinate and are adjacent
     in the other; the sign comes from the factor providing the edge."""
-    return SignedGraph(g1.n * g2.n, tuple(_layers(g1, g2) + _fibres(g1, g2)))
+    return _product(g1, g2, (g1.edges, _same(g2)), (_same(g1), g2.edges))
 
 
 def hg_lex(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
@@ -69,7 +62,7 @@ def hg_lex(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     (i,j) ~ (k,l) when i ~ k, or i = k and j ~ l. Cross edges (i != k) carry
     the first factor's sign; fiber edges carry the second factor's sign.
     """
-    return _lex(g1, g2, [[1] * g2.n] * g2.n)
+    return _product(g1, g2, (g1.edges, _full(g2)), (_same(g1), g2.edges))
 
 
 def bcd_lex(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
@@ -79,21 +72,19 @@ def bcd_lex(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     factor's sign when the second coordinates are adjacent; fiber edges are
     unchanged. Equal second coordinates count as non-adjacent (no loops).
     """
-    table = [[1] * g2.n for _ in range(g2.n)]
-    for u, v, s in g2.edges:
-        table[u][v] = table[v][u] = s
-    return _lex(g1, g2, table)
+    table = _full(g2, _both_ways(g2))
+    return _product(g1, g2, (g1.edges, table), (_same(g1), g2.edges))
 
 
 def tensor(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     """(i,j) ~ (k,l) when i ~ k and j ~ l; signs multiply."""
-    return SignedGraph(g1.n * g2.n, tuple(_cross(g1, g2)))
+    return _product(g1, g2, (g1.edges, _both_ways(g2)))
 
 
 def strong(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     """Union of the cartesian and tensor edge sets with their respective signs."""
-    edges = _layers(g1, g2) + _fibres(g1, g2) + _cross(g1, g2)
-    return SignedGraph(g1.n * g2.n, tuple(edges))
+    right = _same(g2) + _both_ways(g2)
+    return _product(g1, g2, (g1.edges, right), (_same(g1), g2.edges))
 
 
 PRODUCT_KINDS = {

@@ -188,9 +188,13 @@ def test_edge_count_formulas():
 
 @pytest.mark.parametrize("kind", ["cartesian", "hg_lex", "bcd_lex", "tensor", "strong"])
 def test_products_match_definition(kind):
+    # FAMILIES, then factors with no vertex, one vertex and irregular degrees
+    # (seeds 1-4 draw graphs of at most two vertices; 10 has an isolated one)
+    bases = FAMILIES + [null_graph(0), null_graph(1)]
+    bases += [helpers.random_signed_graph(random.Random(s), 6) for s in (0, 5, 10)]
     rng = random.Random(19)
-    for base1 in FAMILIES:
-        for base2 in FAMILIES:
+    for base1 in bases:
+        for base2 in bases:
             g1, g2 = random_signature(rng, base1), random_signature(rng, base2)
             assert product(kind, g1, g2) == helpers.reference_product(kind, g1, g2)
 
